@@ -67,9 +67,14 @@ def alpha_grid(alpha_start: float, alpha_end: float, delta_alpha: float) -> np.n
 
     M = floor((end - start) / delta) + 1, with a small epsilon so grids
     meant to land exactly on the endpoint are not cut short by rounding.
+    Values within rounding of the landmarks 0 (the base) and 1 (the
+    retrained policy) are set to them exactly.
     """
     m = int(math.floor((alpha_end - alpha_start) / delta_alpha + 1e-9)) + 1
-    return alpha_start + delta_alpha * np.arange(m)
+    grid = alpha_start + delta_alpha * np.arange(m)
+    for landmark in (0.0, 1.0):
+        grid[np.abs(grid - landmark) <= 1e-9 * delta_alpha] = landmark
+    return grid
 
 
 def make_base_weights(k: int, d: int) -> list[np.ndarray]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -61,6 +61,13 @@ class Mlp:
             biases.append(np.zeros(sizes[i + 1]))
         return cls(spec, weights, biases)
 
+    @classmethod
+    def from_vector(cls, theta: "ParameterVector", prefix: str, spec: MlpSpec) -> "Mlp":
+        """An Mlp whose weights and biases are views into theta's `prefix` blocks."""
+        weights = [theta.block(f"{prefix}.W{i}") for i in range(spec.n_layers)]
+        biases = [theta.block(f"{prefix}.b{i}") for i in range(spec.n_layers)]
+        return cls(spec, weights, biases)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = x
         for i in range(self.spec.n_layers - 1):
@@ -77,19 +84,25 @@ class Mlp:
         return h @ self.weights[-1] + self.biases[-1], acts
 
     def backward(
-        self, grad_out: np.ndarray, acts: list[np.ndarray]
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Grads of a scalar loss wrt weights/biases given d(loss)/d(output)."""
-        grad_w: list[np.ndarray | None] = [None] * self.spec.n_layers
-        grad_b: list[np.ndarray | None] = [None] * self.spec.n_layers
+        self,
+        grad_out: np.ndarray,
+        acts: list[np.ndarray],
+        grad_w: list[np.ndarray],
+        grad_b: list[np.ndarray],
+    ) -> None:
+        """Grads of a scalar loss wrt weights/biases given d(loss)/d(output).
+
+        They are written into `grad_w[i]` and `grad_b[i]`, arrays shaped
+        like the weights and biases (typically views into a gradient
+        vector, see `from_vector`).
+        """
         delta = grad_out
         for i in range(self.spec.n_layers - 1, -1, -1):
-            grad_w[i] = acts[i].T @ delta
-            grad_b[i] = delta.sum(axis=0)
+            np.matmul(acts[i].T, delta, out=grad_w[i])
+            delta.sum(axis=0, out=grad_b[i])
             if i > 0:
                 # tanh'(z) = 1 - tanh(z)^2, and acts[i] stores tanh(z).
                 delta = (delta @ self.weights[i].T) * (1.0 - acts[i] ** 2)
-        return grad_w, grad_b  # type: ignore[return-value]
 
 
 @dataclass
@@ -108,6 +121,11 @@ class GaussianPolicy:
         # Small final-layer scale keeps untrained mean actions near zero.
         net = Mlp.init(spec, rng, out_scale=0.01)
         return cls(mean_net=net, log_std=np.full(spec.layer_sizes[-1], log_std_init))
+
+    @classmethod
+    def from_vector(cls, theta: "ParameterVector", spec: MlpSpec) -> "GaussianPolicy":
+        """A policy whose mean network and log stds are views into theta."""
+        return cls(mean_net=Mlp.from_vector(theta, "actor", spec), log_std=theta.block("actor.log_std"))
 
 
 @dataclass
@@ -142,34 +160,46 @@ def default_specs(obs_dim: int, act_dim: int, hidden: tuple[int, ...] = (64, 64)
 # Flat parameter vectors
 
 
-@lru_cache(maxsize=None)
-def _offsets_table(
-    entries: tuple[tuple[str, tuple[int, ...]], ...]
-) -> dict[str, tuple[int, int, tuple[int, ...]]]:
-    table = {}
-    pos = 0
-    for key, shape in entries:
-        n = math.prod(shape)
-        table[key] = (pos, pos + n, shape)
-        pos += n
-    return table
-
-
 @dataclass(frozen=True)
 class ParamLayout:
-    """Ordered (key, shape) blocks defining one flattening of a network."""
+    """Ordered (key, shape) blocks defining one flattening of a network.
+
+    Sizes, offsets and specs are computed once per layout object: block
+    lookups sit on the training hot path.
+    """
 
     entries: tuple[tuple[str, tuple[int, ...]], ...]
 
-    @property
+    @cached_property
     def size(self) -> int:
         return sum(math.prod(shape) for _, shape in self.entries)
 
-    def offsets(self) -> dict[str, tuple[int, int, tuple[int, ...]]]:
-        return _offsets_table(self.entries)
+    @cached_property
+    def _offsets(self) -> dict[str, tuple[int, int, tuple[int, ...]]]:
+        table = {}
+        pos = 0
+        for key, shape in self.entries:
+            n = math.prod(shape)
+            table[key] = (pos, pos + n, shape)
+            pos += n
+        return table
 
-    def has_critic(self) -> bool:
-        return any(key.startswith("critic.") for key, _ in self.entries)
+    def offsets(self) -> dict[str, tuple[int, int, tuple[int, ...]]]:
+        return self._offsets
+
+    @cached_property
+    def specs(self) -> tuple[MlpSpec, MlpSpec | None]:
+        """(actor_spec, critic_spec) of the networks; critic_spec is None
+        for an actor-only layout."""
+        sizes: dict[str, list[int]] = {"actor": [], "critic": []}
+        for key, shape in self.entries:
+            net, _, block = key.partition(".")
+            if block.startswith("W"):
+                if not sizes[net]:
+                    sizes[net].append(shape[0])
+                sizes[net].append(shape[1])
+        critic = sizes["critic"]
+        return MlpSpec(tuple(sizes["actor"])), MlpSpec(tuple(critic)) if critic else None
 
 
 @dataclass
@@ -242,16 +272,6 @@ def flatten(model: GaussianPolicy | ActorCritic) -> ParameterVector:
     return _pack(policy_layout(policy.mean_net.spec, layout_critic), blocks)
 
 
-def _mlp_from_vector(theta: ParameterVector, prefix: str, spec: MlpSpec, copy: bool) -> Mlp:
-    weights, biases = [], []
-    for i in range(spec.n_layers):
-        w = theta.block(f"{prefix}.W{i}")
-        b = theta.block(f"{prefix}.b{i}")
-        weights.append(w.copy() if copy else w)
-        biases.append(b.copy() if copy else b)
-    return Mlp(spec, weights, biases)
-
-
 def _check_layout(theta: ParameterVector, actor_spec: MlpSpec, critic_spec: MlpSpec | None) -> None:
     expected = policy_layout(actor_spec, critic_spec)
     if theta.layout != expected:
@@ -266,30 +286,17 @@ def unflatten(
 ) -> GaussianPolicy | ActorCritic:
     """Inverse of flatten. With copy=False the networks are views into theta."""
     _check_layout(theta, actor_spec, critic_spec)
-    log_std = theta.block("actor.log_std")
-    policy = GaussianPolicy(
-        mean_net=_mlp_from_vector(theta, "actor", actor_spec, copy),
-        log_std=log_std.copy() if copy else log_std,
-    )
+    if copy:
+        theta = theta.copy()
+    policy = GaussianPolicy.from_vector(theta, actor_spec)
     if critic_spec is None:
         return policy
-    return ActorCritic(policy=policy, value_net=_mlp_from_vector(theta, "critic", critic_spec, copy))
+    return ActorCritic(policy=policy, value_net=Mlp.from_vector(theta, "critic", critic_spec))
 
 
 def actor_from_vector(theta: ParameterVector, copy: bool = False) -> GaussianPolicy:
     """Rebuild just the actor from a ParameterVector using its own layout."""
-    sizes = []
-    for key, shape in theta.layout.entries:
-        if key.startswith("actor.W"):
-            if not sizes:
-                sizes.append(shape[0])
-            sizes.append(shape[1])
-    spec = MlpSpec(tuple(sizes))
-    log_std = theta.block("actor.log_std")
-    return GaussianPolicy(
-        mean_net=_mlp_from_vector(theta, "actor", spec, copy),
-        log_std=log_std.copy() if copy else log_std,
-    )
+    return GaussianPolicy.from_vector(theta.copy() if copy else theta, theta.layout.specs[0])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,11 @@ One update minimizes
 with r the likelihood ratio, A the (batch-normalized) GAE advantage and
 H the Gaussian entropy. Advantages are normalized once per batch, the
 value loss is unclipped, and gradients are clipped by global norm.
+
+The hot path allocates little: an update builds its network and
+gradient views once (`UpdateViews`), the backward pass writes into them
+and Adam steps in place, with the same floating-point operations in the
+same order as the textbook formulas.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import numpy as np
 from .envs import VectorRewardEnv, check_weight
 from .policy import (
     ActorCritic,
+    Mlp,
     MlpSpec,
     ParameterVector,
     default_specs,
@@ -32,6 +38,13 @@ from .policy import (
     gaussian_log_prob,
     unflatten,
 )
+
+# Rows per critic pass over a rollout batch. OpenBLAS runs a matrix product
+# on a second thread once m*n*k exceeds 262,144; a whole 512-row batch
+# through a 64x64 hidden layer (2.1M) crosses that, and the woken thread
+# then busy-waits through the single-threaded minibatch work that follows.
+# 64-row blocks stay below it and give bit-identical values.
+VALUE_PASS_ROWS = 64
 
 
 class DivergenceError(RuntimeError):
@@ -115,6 +128,27 @@ def compute_gae(
 # Loss and analytic gradient
 
 
+class UpdateViews:
+    """Network views into one parameter vector, plus one gradient buffer of
+    the same layout with its block views.
+
+    Built once per update and shared by every minibatch; the views stay
+    valid while the vector is updated in place.
+    """
+
+    def __init__(self, theta: ParameterVector, actor_spec: MlpSpec, critic_spec: MlpSpec):
+        model = unflatten(theta, actor_spec, critic_spec, copy=False)
+        assert isinstance(model, ActorCritic)
+        self.actor = model.policy.mean_net
+        self.log_std = model.policy.log_std
+        self.critic = model.value_net
+        grad = ParameterVector(np.zeros(theta.layout.size), theta.layout)
+        self.grad = grad.data
+        self.grad_actor = Mlp.from_vector(grad, "actor", actor_spec)
+        self.grad_log_std = grad.block("actor.log_std")
+        self.grad_critic = Mlp.from_vector(grad, "critic", critic_spec)
+
+
 def loss_and_grad(
     theta: ParameterVector,
     actor_spec: MlpSpec,
@@ -125,13 +159,17 @@ def loss_and_grad(
     advantages: np.ndarray,
     returns: np.ndarray,
     cfg: PpoConfig,
+    views: UpdateViews | None = None,
 ) -> tuple[float, np.ndarray]:
-    """PPO loss on a minibatch and its exact gradient wrt the flat vector."""
-    model = unflatten(theta, actor_spec, critic_spec, copy=False)
-    assert isinstance(model, ActorCritic)
-    actor = model.policy.mean_net
-    critic = model.value_net
-    log_std = model.policy.log_std
+    """PPO loss on a minibatch and its exact gradient wrt the flat vector.
+
+    `views` must have been built from this `theta`. The gradient is
+    written into its buffer, which the next call with the same views
+    overwrites; without `views` the returned gradient is a fresh array.
+    """
+    if views is None:
+        views = UpdateViews(theta, actor_spec, critic_spec)
+    actor, critic, log_std = views.actor, views.critic, views.log_std
     n = obs.shape[0]
 
     means, actor_acts = actor.forward_cached(obs)
@@ -163,22 +201,15 @@ def loss_and_grad(
 
     diff = actions - means
     grad_means = grad_logp[:, None] * diff * inv_var
-    grad_log_std = np.sum(grad_logp[:, None] * (diff**2 * inv_var - 1.0), axis=0)
-    grad_log_std -= cfg.entropy_coeff  # dH/dlog_std = 1 per dimension
-    actor_gw, actor_gb = actor.backward(grad_means, actor_acts)
+    np.sum(grad_logp[:, None] * (diff**2 * inv_var - 1.0), axis=0, out=views.grad_log_std)
+    views.grad_log_std -= cfg.entropy_coeff  # dH/dlog_std = 1 per dimension
+    actor.backward(grad_means, actor_acts, views.grad_actor.weights, views.grad_actor.biases)
 
     grad_values = (2.0 * cfg.value_coeff / n) * value_err
-    critic_gw, critic_gb = critic.backward(grad_values[:, None], critic_acts)
-
-    grad = ParameterVector(np.zeros(theta.layout.size), theta.layout)
-    for i in range(actor.spec.n_layers):
-        grad.block(f"actor.W{i}")[...] = actor_gw[i]
-        grad.block(f"actor.b{i}")[...] = actor_gb[i]
-    grad.block("actor.log_std")[...] = grad_log_std
-    for i in range(critic.spec.n_layers):
-        grad.block(f"critic.W{i}")[...] = critic_gw[i]
-        grad.block(f"critic.b{i}")[...] = critic_gb[i]
-    return float(loss), grad.data
+    critic.backward(
+        grad_values[:, None], critic_acts, views.grad_critic.weights, views.grad_critic.biases
+    )
+    return float(loss), views.grad
 
 
 class Adam:
@@ -192,20 +223,38 @@ class Adam:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
+        self._num = np.empty(size)
+        self._den = np.empty(size)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """params -= (lr * m_hat) / (sqrt(v_hat) + eps), in place.
+
+        Each operation matches the textbook expression's, in its order, so
+        the result is bit-identical to evaluating it with temporaries.
+        """
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad**2
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, num, den = self.m, self.v, self._num, self._den
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=num)
+        m += num
+        v *= self.beta2
+        np.multiply(grad, grad, out=den)
+        den *= 1.0 - self.beta2
+        v += den
+        np.divide(v, 1.0 - self.beta2**self.t, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        np.divide(m, 1.0 - self.beta1**self.t, out=num)
+        num *= self.lr
+        num /= den
+        params -= num
 
 
 def clip_grad_norm(grad: np.ndarray, max_norm: float) -> np.ndarray:
+    """Scale `grad` in place down to global norm `max_norm`; returns it."""
     norm = float(np.linalg.norm(grad))
     if norm > max_norm > 0:
-        return grad * (max_norm / norm)
+        grad *= max_norm / norm
     return grad
 
 
@@ -226,6 +275,7 @@ def ppo_update(
     theta = theta.copy()
     if optimizer is None:
         optimizer = Adam(theta.layout.size, cfg.learning_rate)
+    views = UpdateViews(theta, actor_spec, critic_spec)
     n = len(buffer)
     mb_size = max(1, n // cfg.minibatches)
     for _ in range(cfg.epochs):
@@ -242,6 +292,7 @@ def ppo_update(
                 buffer.advantages[idx],
                 buffer.returns[idx],
                 cfg,
+                views,
             )
             optimizer.step(theta.data, clip_grad_norm(grad, cfg.max_grad_norm))
     return theta
@@ -269,13 +320,14 @@ def collect_rollout(
     model = unflatten(theta, actor_spec, critic_spec, copy=False)
     assert isinstance(model, ActorCritic)
     actor = model.policy.mean_net
-    std = np.exp(model.policy.log_std)
+    log_std = model.policy.log_std
+    std = np.exp(log_std)
     horizon = env.spec.horizon
 
     n = cfg.steps_per_batch
     obs_buf = np.empty((n, env.spec.obs_dim))
     act_buf = np.empty((n, env.spec.act_dim))
-    logp_buf = np.empty(n)
+    mean_buf = np.empty((n, env.spec.act_dim))
     rew_buf = np.empty(n)
     done_buf = np.empty(n, dtype=bool)
 
@@ -289,13 +341,14 @@ def collect_rollout(
         mean = actor.forward(obs[None, :])[0]
         noise = rng.standard_normal(env.spec.act_dim)
         action = mean + std * noise
-        logp = gaussian_log_prob(action[None, :], mean[None, :], model.policy.log_std)[0]
         next_obs, rewards = env.step_batch(obs[None, :], action[None, :])
         step_index += 1
         done = step_index >= horizon
         obs_buf[t] = obs
         act_buf[t] = action
-        logp_buf[t] = logp
+        mean_buf[t] = mean
+        # Row by row on purpose: a batched (n, d) @ (d,) goes through gemv,
+        # which rounds some rows differently.
         rew_buf[t] = rewards[0] @ weight
         done_buf[t] = done
         if done:
@@ -304,8 +357,12 @@ def collect_rollout(
         else:
             obs = next_obs[0]
 
+    logp_buf = gaussian_log_prob(act_buf, mean_buf, log_std)
     critic = model.value_net
-    values = critic.forward(obs_buf)[:, 0]
+    values = np.empty(n)
+    for start in range(0, n, VALUE_PASS_ROWS):
+        rows = slice(start, start + VALUE_PASS_ROWS)
+        values[rows] = critic.forward(obs_buf[rows])[:, 0]
     bootstrap = 0.0 if done_buf[-1] else float(critic.forward(obs[None, :])[0, 0])
     advantages, returns = compute_gae(
         rew_buf, values, done_buf, cfg.gamma, cfg.gae_lambda, bootstrap
@@ -324,14 +381,6 @@ def collect_rollout(
     return buffer, (obs, step_index)
 
 
-@dataclass
-class TrainState:
-    """Optimizer moments plus the unfinished-episode carry, for resuming."""
-
-    optimizer: Adam
-    carry: tuple[np.ndarray, int] | None = None
-
-
 def train(
     theta: ParameterVector,
     env: VectorRewardEnv,
@@ -340,7 +389,6 @@ def train(
     cfg: PpoConfig,
     seed: int,
     log_stream: IO[str] | None = None,
-    state: TrainState | None = None,
 ) -> ParameterVector:
     """Train under one preference weight until the step budget is consumed.
 
@@ -354,14 +402,11 @@ def train(
     if n_batches == 0:
         return theta.copy()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if state is None:
-        state = TrainState(optimizer=Adam(theta.layout.size, cfg.learning_rate))
-    theta = theta.copy()
+    optimizer = Adam(theta.layout.size, cfg.learning_rate)
+    carry = None
     for batch_index in range(n_batches):
-        buffer, state.carry = collect_rollout(
-            theta, env, weight, cfg, rng, actor_spec, critic_spec, state.carry
-        )
-        theta = ppo_update(theta, buffer, cfg, actor_spec, critic_spec, rng, state.optimizer)
+        buffer, carry = collect_rollout(theta, env, weight, cfg, rng, actor_spec, critic_spec, carry)
+        theta = ppo_update(theta, buffer, cfg, actor_spec, critic_spec, rng, optimizer)
         if log_stream is not None:
             mean_ep = float(buffer.scalar_rewards.sum() / max(1, buffer.dones.sum()))
             log_stream.write(
@@ -374,17 +419,10 @@ def train(
 
 def specs_from_layout(theta: ParameterVector) -> tuple[MlpSpec, MlpSpec]:
     """Recover (actor_spec, critic_spec) from a combined parameter layout."""
-    actor_sizes: list[int] = []
-    critic_sizes: list[int] = []
-    for key, shape in theta.layout.entries:
-        for prefix, sizes in (("actor.W", actor_sizes), ("critic.W", critic_sizes)):
-            if key.startswith(prefix):
-                if not sizes:
-                    sizes.append(shape[0])
-                sizes.append(shape[1])
-    if not critic_sizes:
+    actor_spec, critic_spec = theta.layout.specs
+    if critic_spec is None:
         raise ValueError("parameter vector has no critic block; train needs an actor-critic layout")
-    return MlpSpec(tuple(actor_sizes)), MlpSpec(tuple(critic_sizes))
+    return actor_spec, critic_spec
 
 
 def init_actor_critic(env: VectorRewardEnv, seed: int, hidden: tuple[int, ...] = (64, 64)) -> ParameterVector:

@@ -105,6 +105,18 @@ def test_alpha_grid_default_is_61_points():
     assert 0.0 in grid and 1.0 in grid
 
 
+@pytest.mark.parametrize(
+    "start, end, delta, landmarks",
+    [(-1.2, 1.2, 0.1, (0.0, 1.0)), (-0.9, 0.9, 0.3, (0.0,))],
+)
+def test_alpha_grid_hits_landmarks_exactly(start, end, delta, landmarks):
+    # Unsnapped, these grids give 2.2e-16 and 1.0000000000000002.
+    grid = alpha_grid(start, end, delta)
+    for landmark in landmarks:
+        assert landmark in grid
+    assert np.allclose(grid, start + delta * np.arange(grid.shape[0]), rtol=0, atol=1e-12)
+
+
 def test_clip_to_simplex():
     w = clip_to_simplex(np.array([1.4, -0.4]))
     assert np.allclose(w, [1.0, 0.0])

@@ -303,3 +303,125 @@ def test_interaction_accounting_within_one_batch():
     train(theta, env, np.array([0.5, 0.5]), requested, cfg, seed=0)
     assert counted["n"] == 3 * cfg.steps_per_batch
     assert requested - counted["n"] < cfg.steps_per_batch
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity with a textbook reference loop
+
+
+def _reference_grad(theta, actor_spec, critic_spec, obs, actions, logp_old, advantages, returns, cfg):
+    """The PPO gradient with fresh views, allocating backprop and a packed vector."""
+    from morlext.policy import gaussian_log_prob, unflatten
+
+    model = unflatten(theta, actor_spec, critic_spec, copy=False)
+    actor, critic, log_std = model.policy.mean_net, model.value_net, model.policy.log_std
+    n = obs.shape[0]
+    means, actor_acts = actor.forward_cached(obs)
+    inv_var = 1.0 / np.exp(log_std) ** 2
+    ratios = np.exp(gaussian_log_prob(actions, means, log_std) - logp_old)
+    clipped = np.clip(ratios, 1.0 - cfg.clip, 1.0 + cfg.clip)
+    use_unclipped = ratios * advantages <= clipped * advantages
+    grad_logp = -(np.where(use_unclipped, advantages, 0.0) * ratios) / n
+    diff = actions - means
+    grad_log_std = np.sum(grad_logp[:, None] * (diff**2 * inv_var - 1.0), axis=0)
+    grad_log_std -= cfg.entropy_coeff
+    values, critic_acts = critic.forward_cached(obs)
+    grad_values = (2.0 * cfg.value_coeff / n) * (values[:, 0] - returns)
+
+    def backward(net, delta, acts):
+        blocks = []
+        for i in range(net.spec.n_layers - 1, -1, -1):
+            blocks = [acts[i].T @ delta, delta.sum(axis=0)] + blocks
+            if i > 0:
+                delta = (delta @ net.weights[i].T) * (1.0 - acts[i] ** 2)
+        return blocks
+
+    blocks = (
+        backward(actor, grad_logp[:, None] * diff * inv_var, actor_acts)
+        + [grad_log_std]
+        + backward(critic, grad_values[:, None], critic_acts)
+    )
+    return np.concatenate([b.reshape(-1) for b in blocks])
+
+
+def _reference_train(theta, env, weight, total_steps, cfg, seed):
+    """PPO as textbook code: per-step log probs, one-shot value pass,
+    per-call unflatten and the allocating Adam formula."""
+    from morlext.policy import gaussian_log_prob, unflatten
+
+    actor_spec, critic_spec = specs_from_layout(theta)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    m = np.zeros(theta.layout.size)
+    v = np.zeros(theta.layout.size)
+    t = 0
+    obs, step_index = env.reset_batch(1, rng)[0], 0
+    theta = theta.copy()
+    n = cfg.steps_per_batch
+    for _ in range(total_steps // n):
+        model = unflatten(theta, actor_spec, critic_spec)
+        log_std = model.policy.log_std
+        obs_buf, act_buf = np.empty((n, env.spec.obs_dim)), np.empty((n, env.spec.act_dim))
+        logp_buf, rew_buf, done_buf = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+        for i in range(n):
+            mean = model.policy.mean_net.forward(obs[None, :])[0]
+            action = mean + np.exp(log_std) * rng.standard_normal(env.spec.act_dim)
+            logp_buf[i] = gaussian_log_prob(action[None, :], mean[None, :], log_std)[0]
+            next_obs, rewards = env.step_batch(obs[None, :], action[None, :])
+            step_index += 1
+            obs_buf[i], act_buf[i] = obs, action
+            rew_buf[i] = rewards[0] @ weight
+            done_buf[i] = step_index >= env.spec.horizon
+            if done_buf[i]:
+                obs, step_index = env.reset_batch(1, rng)[0], 0
+            else:
+                obs = next_obs[0]
+        values = model.value_net.forward(obs_buf)[:, 0]
+        bootstrap = 0.0 if done_buf[-1] else float(model.value_net.forward(obs[None, :])[0, 0])
+        adv, ret = compute_gae(rew_buf, values, done_buf, cfg.gamma, cfg.gae_lambda, bootstrap)
+        adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+
+        mb_size = max(1, n // cfg.minibatches)
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, mb_size):
+                idx = order[start : start + mb_size]
+                grad = _reference_grad(
+                    theta, actor_spec, critic_spec, obs_buf[idx], act_buf[idx],
+                    logp_buf[idx], adv[idx], ret[idx], cfg,
+                )
+                norm = float(np.linalg.norm(grad))
+                if norm > cfg.max_grad_norm > 0:
+                    grad = grad * (cfg.max_grad_norm / norm)
+                t += 1
+                m = 0.9 * m + (1.0 - 0.9) * grad
+                v = 0.999 * v + (1.0 - 0.999) * grad**2
+                m_hat = m / (1.0 - 0.9**t)
+                v_hat = v / (1.0 - 0.999**t)
+                theta.data -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return theta
+
+
+def test_train_bit_identical_to_textbook_reference():
+    env = DualGoal()
+    theta = init_actor_critic(env, seed=21)  # default (64, 64) actor-critic
+    cfg = PpoConfig()
+    w = np.array([0.3, 0.7])
+    steps = 3 * cfg.steps_per_batch
+    out = train(theta, env, w, steps, cfg, seed=5)
+    ref = _reference_train(theta, env, w, steps, cfg, seed=5)
+    assert not np.array_equal(out.data, theta.data)
+    assert np.array_equal(out.data, ref.data)
+
+
+def test_loss_and_grad_result_survives_next_call():
+    env = DualGoal()
+    theta = init_actor_critic(env, seed=22, hidden=(16, 16))
+    actor_spec, critic_spec = specs_from_layout(theta)
+    cfg = PpoConfig()
+    first = frozen_minibatch(env, theta, seed=0)
+    _, grad = loss_and_grad(theta, actor_spec, critic_spec, *first, cfg)
+    kept = grad.copy()
+    assert np.array_equal(kept, _reference_grad(theta, actor_spec, critic_spec, *first, cfg))
+    _, other = loss_and_grad(theta, actor_spec, critic_spec, *frozen_minibatch(env, theta, seed=1), cfg)
+    assert not np.array_equal(other, kept)
+    assert np.array_equal(grad, kept)
