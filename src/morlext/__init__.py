@@ -3,7 +3,7 @@ parameter-space directions from brief retraining, training-free Pareto
 front extension along those directions, dominance filtering,
 preference-aligned fine-tuning, and front quality metrics."""
 
-from .envs import DualGoal, EnvSpec, EnvState, SpeedEnergy, make_env, scalarize
+from .envs import DualGoal, EnvSpec, SpeedEnergy, make_env
 from .extension import (
     CandidatePolicy,
     DirectionSet,
@@ -28,7 +28,6 @@ from .policy import (
     MlpSpec,
     ParameterVector,
     ReturnVector,
-    act,
     evaluate_returns,
     flatten,
     unflatten,
@@ -51,7 +50,6 @@ __all__ = [
     "DirectionSet",
     "DualGoal",
     "EnvSpec",
-    "EnvState",
     "ErrorCurve",
     "FrontPoint",
     "GaussianPolicy",
@@ -66,7 +64,6 @@ __all__ = [
     "ReturnVector",
     "RolloutBuffer",
     "SpeedEnergy",
-    "act",
     "compute_gae",
     "dominates",
     "evaluate_returns",
@@ -83,7 +80,6 @@ __all__ = [
     "ppo_update",
     "ppr_delta",
     "run_pipeline",
-    "scalarize",
     "shift_weight",
     "sparsity",
     "train",

@@ -29,10 +29,13 @@ from .distance import hungarian_distance
 from .envs import make_env
 from .extension import LleConfig, PipelineResult, run_pipeline
 from .pareto import (
+    FrontPoint,
     ParetoArchive,
+    default_reference_point,
     expected_utility,
     hypervolume,
     load_front_table,
+    non_dominated_filter,
     save_front_table,
     sparsity,
 )
@@ -276,7 +279,7 @@ def cmd_metrics(args) -> int:
         if ref.shape[0] != archive.d:
             raise ConfigError(f"reference point has {ref.shape[0]} entries, front has {archive.d}")
     else:
-        ref = archive.matrix().min(axis=0) - 1.0
+        ref = default_reference_point(archive.matrix())
     metrics = compute_metrics(archive, ref, args.eu_samples, args.eu_seed)
     print(json.dumps(metrics, indent=2))
     return EXIT_OK
@@ -289,11 +292,10 @@ def cmd_metrics(args) -> int:
 def cmd_distance(args) -> int:
     records_a = load_archive(args.archive_a)
     records_b = load_archive(args.archive_b)
-    try:
-        rec_a = records_a[args.entry_a]
-        rec_b = records_b[args.entry_b]
-    except IndexError as err:
-        raise ConfigError(f"archive entry out of range: {err}") from err
+    for name, records, entry in (("a", records_a, args.entry_a), ("b", records_b, args.entry_b)):
+        if not 0 <= entry < len(records):
+            raise ConfigError(f"--entry-{name} {entry} out of range: archive has {len(records)} records")
+    rec_a, rec_b = records_a[args.entry_a], records_b[args.entry_b]
     total, breakdown = hungarian_distance(rec_a.theta, rec_b.theta)
     for layer, value in breakdown.items():
         print(f"{layer}: {value:.6g}")
@@ -340,8 +342,6 @@ def cmd_synth_check(args) -> int:
 
 def cmd_front_export(args) -> int:
     records = load_archive(args.policies)
-    from .pareto import FrontPoint
-
     points = []
     for rec in records:
         values = rec.meta.get("final_returns") or rec.meta.get("returns")
@@ -350,8 +350,6 @@ def cmd_front_export(args) -> int:
         points.append(
             FrontPoint(np.array(values), rec.meta.get("policy_id", len(points)), rec.meta.get("stage", ""))
         )
-    from .pareto import non_dominated_filter
-
     archive = non_dominated_filter(points)
     save_front_table(args.output, archive)
     print(f"{len(archive)} non-dominated rows -> {args.output}")

@@ -1,4 +1,4 @@
-"""Vector-reward episodic environments and linear scalarization.
+"""Vector-reward episodic environments.
 
 Two toy continuous-control tasks with smooth, genuinely conflicting
 objectives are built in:
@@ -48,25 +48,6 @@ class EnvSpec:
             raise ValueError("dt must be positive")
 
 
-@dataclass
-class EnvState:
-    """Observation plus episode-progress bookkeeping."""
-
-    observation: np.ndarray
-    step_index: int = 0
-    done: bool = False
-
-
-def check_reward(values: np.ndarray, d: int) -> np.ndarray:
-    """Validate a per-step reward vector: length d, all entries finite."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (d,):
-        raise ValueError(f"reward vector has shape {values.shape}, expected ({d},)")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("reward vector contains non-finite entries")
-    return values
-
-
 def check_weight(weights: np.ndarray, d: int | None = None) -> np.ndarray:
     """Validate a preference weight: nonnegative entries summing to 1."""
     weights = np.asarray(weights, dtype=np.float64)
@@ -79,22 +60,13 @@ def check_weight(weights: np.ndarray, d: int | None = None) -> np.ndarray:
     return weights
 
 
-def scalarize(reward: np.ndarray, weight: np.ndarray) -> float:
-    """Linear scalarization: the dot product of a reward vector and a weight."""
-    reward = np.asarray(reward, dtype=np.float64)
-    weight = np.asarray(weight, dtype=np.float64)
-    if reward.shape != weight.shape:
-        raise ValueError(f"length mismatch: reward {reward.shape} vs weight {weight.shape}")
-    return float(reward @ weight)
-
-
 class VectorRewardEnv:
     """Base class: fixed-horizon point-mass dynamics with a vector reward.
 
     Subclasses define the state layout and the per-step reward. All the
-    physics lives in `_advance`, written over batched arrays so that a
-    whole bank of episodes can be stepped in lockstep; the single-episode
-    `reset` / `step` API wraps the batch of one.
+    physics lives in `_advance`, written over batched arrays whose rows are
+    independent episodes, so a whole bank of them steps in lockstep; a
+    single episode is a batch of one.
     """
 
     spec: EnvSpec
@@ -102,7 +74,6 @@ class VectorRewardEnv:
     def __init__(self, spec: EnvSpec):
         self.spec = spec
 
-    # Batched interface (rows are independent episodes).
     def _initial_obs(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
@@ -116,30 +87,6 @@ class VectorRewardEnv:
     def step_batch(self, obs: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         actions = np.clip(np.asarray(actions, dtype=np.float64), -1.0, 1.0)
         return self._advance(obs, actions)
-
-    # Single-episode interface.
-    def reset(self, seed: int) -> EnvState:
-        rng = np.random.default_rng(seed)
-        obs = self._initial_obs(1, rng)[0]
-        return EnvState(observation=obs, step_index=0, done=False)
-
-    def reset_from_rng(self, rng: np.random.Generator) -> EnvState:
-        return EnvState(observation=self._initial_obs(1, rng)[0], step_index=0, done=False)
-
-    def step(self, state: EnvState, action: np.ndarray) -> tuple[EnvState, np.ndarray]:
-        if state.done:
-            raise ValueError("step() called on a finished episode; reset first")
-        action = np.asarray(action, dtype=np.float64)
-        if action.shape != (self.spec.act_dim,):
-            raise ValueError(f"action has shape {action.shape}, expected ({self.spec.act_dim},)")
-        next_obs, rewards = self.step_batch(state.observation[None, :], action[None, :])
-        step_index = state.step_index + 1
-        next_state = EnvState(
-            observation=next_obs[0],
-            step_index=step_index,
-            done=step_index >= self.spec.horizon,
-        )
-        return next_state, check_reward(rewards[0], self.spec.d)
 
 
 class DualGoal(VectorRewardEnv):

@@ -7,9 +7,9 @@
    coefficients: theta = base + sum_i alpha_i * dtheta_i, each with a
    matched weight w = w_base + sum_i alpha_i * dw_i.
 4. Evaluate candidates and keep the pooled non-dominated subset.
-5. Fine-tune each survivor briefly under its matched weight; the final
-   archive is the non-dominated filter over survivors, fine-tuned
-   policies, and the bases themselves.
+5. Fine-tune briefly, under its matched weight, each survivor the budget
+   gives at least one batch; the final archive is the non-dominated
+   filter over survivors, fine-tuned policies, and the bases themselves.
 
 The interaction budget is split 3:1:1 over the three training stages
 (the extension stage trains nothing), divided evenly over each stage's
@@ -29,10 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from .envs import VectorRewardEnv, check_weight
-from .pareto import FrontPoint, ParetoArchive, dominates, non_dominated_filter
+from .pareto import FrontPoint, ParetoArchive, default_reference_point, dominates, non_dominated_filter
 from .policy import ParameterVector, ReturnVector, evaluate_returns
 from .ppo import DivergenceError, PpoConfig, init_actor_critic, train
 from .seeding import derive_seed
+
+# Singular-value ratio at or below which a direction matrix counts as rank deficient.
+RANK_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -171,9 +174,10 @@ class DirectionSet:
         return np.stack([d.data for d in self.deltas], axis=1)
 
 
-def check_degenerate(direction_matrix: np.ndarray, rel_tol: float = 1e-8) -> bool:
+def check_degenerate(direction_matrix: np.ndarray) -> bool:
+    """True iff the smallest singular value is at most RANK_RTOL times the largest."""
     svals = np.linalg.svd(direction_matrix, compute_uv=False)
-    return bool(svals.min() <= rel_tol * svals.max())
+    return bool(svals.min() <= RANK_RTOL * svals.max())
 
 
 @dataclass
@@ -406,14 +410,18 @@ def fine_tune(
     """Brief preference-aligned training of each selected candidate.
 
     Inputs are never mutated; each output carries stage "fine_tuned" and
-    fresh returns. A diverging candidate is reported and skipped without
-    aborting the rest of the batch.
+    fresh returns. Only candidates with a budget of at least one batch are
+    trained: one with less would take no step and only copy its input, so
+    it gets no output, log or ledger steps. A diverging candidate is
+    reported and skipped without aborting the rest of the batch.
     """
     if len(budgets) != len(selected):
         raise ValueError("need one budget per selected candidate")
     out = []
     next_id = id_start
     for cand, steps in zip(selected, budgets):
+        if steps < ppo_cfg.steps_per_batch:
+            continue
         try:
             with _train_log(log_dir, f"finetune_{cand.policy_id}") as log:
                 theta = train(
@@ -618,7 +626,7 @@ def run_pipeline(
     all_returns.extend(c.returns.values for c in bases + candidates + fine_tuned)
     for dirs in directions:
         all_returns.extend(r.values for r in dirs.retrained_returns)
-    ref_point = np.stack(all_returns).min(axis=0) - 1.0
+    ref_point = default_reference_point(all_returns)
 
     return PipelineResult(
         archive=archive,

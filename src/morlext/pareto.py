@@ -24,6 +24,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# Distance of the default reference point below the worst evaluated return.
+REF_POINT_MARGIN = 1.0
+
 
 @dataclass
 class FrontPoint:
@@ -51,6 +54,11 @@ class ParetoArchive:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def _front_matrix(archive: ParetoArchive | np.ndarray) -> np.ndarray:
+    """Objective matrix of an archive, or the given array as float64."""
+    return archive.matrix() if isinstance(archive, ParetoArchive) else np.asarray(archive, dtype=np.float64)
 
 
 def dominates(a: np.ndarray, b: np.ndarray) -> bool:
@@ -141,7 +149,7 @@ def _hv3d(front: np.ndarray, ref: np.ndarray) -> float:
 
 def hypervolume(archive: ParetoArchive | np.ndarray, ref_point: np.ndarray) -> float:
     """Exact hypervolume of a front against a reference point (d = 2 or 3)."""
-    front = archive.matrix() if isinstance(archive, ParetoArchive) else np.asarray(archive, dtype=np.float64)
+    front = _front_matrix(archive)
     ref = np.asarray(ref_point, dtype=np.float64)
     if front.ndim != 2 or front.shape[1] != ref.shape[0]:
         raise ValueError("front and reference point disagree on objective count")
@@ -175,7 +183,7 @@ def expected_utility(
     chunk: int = 65_536,
 ) -> float:
     """Mean best scalarized return over uniform random preferences."""
-    front = archive.matrix() if isinstance(archive, ParetoArchive) else np.asarray(archive, dtype=np.float64)
+    front = _front_matrix(archive)
     if front.shape[0] == 0:
         raise ValueError("expected utility of an empty archive is undefined")
     if n_weights < 1:
@@ -203,8 +211,7 @@ def sparsity(archive: ParetoArchive | np.ndarray) -> float:
     deflate the score. Archives of size <= 1 return 0 by convention (the
     metric is undefined there; callers should report that separately).
     """
-    front = archive.matrix() if isinstance(archive, ParetoArchive) else np.asarray(archive, dtype=np.float64)
-    front = np.unique(front, axis=0)
+    front = np.unique(_front_matrix(archive), axis=0)
     m = front.shape[0]
     if m <= 1:
         return 0.0
@@ -252,7 +259,7 @@ def load_front_table(path: str | Path) -> ParetoArchive:
     return ParetoArchive(points=points, d=d)
 
 
-def default_reference_point(all_returns: Iterable[np.ndarray], margin: float = 1.0) -> np.ndarray:
-    """Componentwise minimum over every evaluated policy, minus a margin."""
+def default_reference_point(all_returns: Iterable[np.ndarray]) -> np.ndarray:
+    """Componentwise minimum over every evaluated policy, minus REF_POINT_MARGIN."""
     stacked = np.stack([np.asarray(r, dtype=np.float64) for r in all_returns])
-    return stacked.min(axis=0) - margin
+    return stacked.min(axis=0) - REF_POINT_MARGIN

@@ -25,15 +25,12 @@ class MlpSpec:
     """Fully-connected tanh network shape: (input, hidden..., output)."""
 
     layer_sizes: tuple[int, ...]
-    activation: str = "tanh"
 
     def __post_init__(self) -> None:
         if len(self.layer_sizes) < 3:
             raise ValueError("need at least one hidden layer")
         if any(s < 1 for s in self.layer_sizes):
             raise ValueError("all layer sizes must be >= 1")
-        if self.activation != "tanh":
-            raise ValueError(f"unsupported activation {self.activation!r}")
 
     @property
     def n_layers(self) -> int:
@@ -111,10 +108,6 @@ class GaussianPolicy:
 
     mean_net: Mlp
     log_std: np.ndarray
-
-    @property
-    def act_dim(self) -> int:
-        return self.log_std.shape[0]
 
     @classmethod
     def init(cls, spec: MlpSpec, rng: np.random.Generator, log_std_init: float = 0.0) -> "GaussianPolicy":
@@ -272,12 +265,6 @@ def flatten(model: GaussianPolicy | ActorCritic) -> ParameterVector:
     return _pack(policy_layout(policy.mean_net.spec, layout_critic), blocks)
 
 
-def _check_layout(theta: ParameterVector, actor_spec: MlpSpec, critic_spec: MlpSpec | None) -> None:
-    expected = policy_layout(actor_spec, critic_spec)
-    if theta.layout != expected:
-        raise ValueError("parameter layout does not match the given network spec")
-
-
 def unflatten(
     theta: ParameterVector,
     actor_spec: MlpSpec,
@@ -285,7 +272,8 @@ def unflatten(
     copy: bool = True,
 ) -> GaussianPolicy | ActorCritic:
     """Inverse of flatten. With copy=False the networks are views into theta."""
-    _check_layout(theta, actor_spec, critic_spec)
+    if theta.layout != policy_layout(actor_spec, critic_spec):
+        raise ValueError("parameter layout does not match the given network spec")
     if copy:
         theta = theta.copy()
     policy = GaussianPolicy.from_vector(theta, actor_spec)
@@ -294,9 +282,9 @@ def unflatten(
     return ActorCritic(policy=policy, value_net=Mlp.from_vector(theta, "critic", critic_spec))
 
 
-def actor_from_vector(theta: ParameterVector, copy: bool = False) -> GaussianPolicy:
-    """Rebuild just the actor from a ParameterVector using its own layout."""
-    return GaussianPolicy.from_vector(theta.copy() if copy else theta, theta.layout.specs[0])
+def actor_from_vector(theta: ParameterVector) -> GaussianPolicy:
+    """Just the actor, as views into theta, using theta's own layout."""
+    return GaussianPolicy.from_vector(theta, theta.layout.specs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -308,18 +296,6 @@ def gaussian_log_prob(actions: np.ndarray, means: np.ndarray, log_std: np.ndarra
     std = np.exp(log_std)
     z = (actions - means) / std
     return -0.5 * np.sum(z**2, axis=-1) - np.sum(log_std) - 0.5 * actions.shape[-1] * LOG_2PI
-
-
-def act(
-    policy: GaussianPolicy, obs: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, float]:
-    """Sample an action and its exact log probability (before any clipping)."""
-    obs = np.asarray(obs, dtype=np.float64)
-    mean = policy.mean_net.forward(obs[None, :])[0]
-    std = np.exp(policy.log_std)
-    action = mean + std * rng.standard_normal(policy.act_dim)
-    logp = gaussian_log_prob(action[None, :], mean[None, :], policy.log_std)[0]
-    return action, float(logp)
 
 
 @dataclass

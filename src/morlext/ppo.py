@@ -65,6 +65,12 @@ class PpoConfig:
     max_grad_norm: float = 0.5
 
     def __post_init__(self) -> None:
+        if self.steps_per_batch < 1:
+            raise ValueError("steps_per_batch must be >= 1")
+        if self.minibatches < 1:
+            raise ValueError("minibatches must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be positive")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must be in (0, 1]")
         if not 0.0 <= self.gae_lambda <= 1.0:

@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .extension import check_degenerate
+
 
 @dataclass
 class QuadraticObjectiveFamily:
@@ -227,8 +229,7 @@ def lle_error_curve(
     directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
     if directions.shape[0] != fam.n:
         raise ValueError("direction matrix must have one row per parameter dimension")
-    svals = np.linalg.svd(directions, compute_uv=False)
-    if svals.min() <= 1e-8 * svals.max():
+    if check_degenerate(directions):
         raise ValueError("direction matrix is numerically rank deficient")
     alphas = np.asarray(alphas, dtype=np.float64)
     if alphas.ndim == 1:

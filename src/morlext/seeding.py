@@ -23,11 +23,6 @@ def seed_sequence(root_seed: int, *path: str | int) -> np.random.SeedSequence:
     return np.random.SeedSequence([int(root_seed) & 0xFFFFFFFF] + [_tag_to_int(t) for t in path])
 
 
-def derive_rng(root_seed: int, *path: str | int) -> np.random.Generator:
-    """Generator for the sub-stream addressed by ``path`` under ``root_seed``."""
-    return np.random.default_rng(seed_sequence(root_seed, *path))
-
-
 def derive_seed(root_seed: int, *path: str | int) -> int:
     """Plain integer seed for APIs that take one (stable, collision-resistant)."""
     return int(seed_sequence(root_seed, *path).generate_state(1, dtype=np.uint64)[0] & 0x7FFFFFFF)

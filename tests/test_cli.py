@@ -157,3 +157,38 @@ def test_three_line_config_has_full_defaults(tmp_path):
     assert parsed["lle"].delta_alpha == 0.05
     assert parsed["ppo"].steps_per_batch == 512
     assert parsed["ppo"].gamma == 0.995
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("steps_per_batch", "0"), ("steps_per_batch", "-512"), ("minibatches", "0"),
+     ("learning_rate", "-1"), ("learning_rate", "0")],
+)
+def test_invalid_ppo_field_is_usage_error(tmp_path, capsys, key, value):
+    config = tmp_path / "c.ini"
+    config.write_text(
+        f"[run]\nenv = dual_goal\noutput_dir = {tmp_path / 'x'}\n[ppo]\n{key} = {value}\n"
+    )
+    assert main(["run", "--config", str(config)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flag", ["--entry-a", "--entry-b"])
+def test_distance_negative_entry_is_usage_error(run_dir, capsys, flag):
+    bases = str(run_dir / "policies" / "bases.jsonl")
+    assert main(["distance", bases, bases, flag, "-1"]) == 1
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_metrics_default_ref_point_is_front_min_minus_one(run_dir, capsys):
+    front = run_dir / "front.csv"
+    assert main(["metrics", str(front)]) == 0
+    metrics = json.loads(capsys.readouterr().out)
+    expected = load_front_table(front).matrix().min(axis=0) - 1.0
+    assert metrics["ref_point"] == expected.tolist()
+
+
+def test_metrics_ref_point_wrong_length_is_usage_error(run_dir, capsys):
+    assert main(["metrics", str(run_dir / "front.csv"), "--ref-point=-1,-1,-1"]) == 1
+    assert "reference point has 3 entries" in capsys.readouterr().err

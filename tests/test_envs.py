@@ -1,42 +1,44 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from morlext.envs import DualGoal, SpeedEnergy, make_env, scalarize
+from morlext.envs import DualGoal, SpeedEnergy, make_env
+
+
+def reset_one(env, seed):
+    """Initial observation of one episode, a batch of one."""
+    return env.reset_batch(1, np.random.default_rng(seed))
+
+
+def step_one(env, obs, action):
+    """One step of a batch-of-one episode: (next_obs, reward vector)."""
+    next_obs, rewards = env.step_batch(obs, np.asarray(action, dtype=np.float64)[None, :])
+    return next_obs, rewards[0]
 
 
 def test_reset_same_seed_identical():
     env = DualGoal()
-    a = env.reset(seed=7)
-    b = env.reset(seed=7)
-    assert np.array_equal(a.observation, b.observation)
-    assert a.step_index == 0 and not a.done
+    assert np.array_equal(reset_one(env, 7), reset_one(env, 7))
 
 
 def test_reset_different_seeds_differ():
     env = DualGoal()
-    a = env.reset(seed=7)
-    b = env.reset(seed=8)
-    assert not np.array_equal(a.observation, b.observation)
+    assert not np.array_equal(reset_one(env, 7), reset_one(env, 8))
 
 
 def test_reset_observation_shape():
     env = SpeedEnergy()
-    state = env.reset(seed=0)
-    assert state.observation.shape == (env.spec.obs_dim,)
+    assert reset_one(env, 0).shape == (1, env.spec.obs_dim)
 
 
 def test_dual_goal_zero_action_from_rest_zero_reward():
     env = DualGoal()
-    state = env.reset(seed=3)
-    _, reward = env.step(state, np.zeros(2))
+    _, reward = step_one(env, reset_one(env, 3), np.zeros(2))
     assert np.allclose(reward, [0.0, 0.0])
 
 
 def test_speed_energy_control_cost_is_squared_action():
     env = SpeedEnergy()
-    state = env.reset(seed=0)
-    _, reward = env.step(state, np.array([1.0]))
+    _, reward = step_one(env, reset_one(env, 0), np.array([1.0]))
     assert reward[1] == pytest.approx(-1.0)
 
 
@@ -45,27 +47,16 @@ def test_dual_goal_single_step_hand_evaluated():
     # v' = (0.05, 0), R1 = 0.05 - c, R2 = -c.
     c = 0.05
     env = DualGoal(dt=0.05, friction=0.0, control_cost_coeff=c)
-    state = env.reset(seed=1)
-    _, reward = env.step(state, np.array([1.0, 0.0]))
+    _, reward = step_one(env, reset_one(env, 1), np.array([1.0, 0.0]))
     assert reward[0] == pytest.approx(0.05 * 1.0 - c * 1.0)
     assert reward[1] == pytest.approx(-c * 1.0)
 
 
-def test_step_done_state_rejected():
-    env = SpeedEnergy(horizon=2)
-    state = env.reset(seed=0)
-    for _ in range(2):
-        state, _ = env.step(state, np.array([0.5]))
-    assert state.done
-    with pytest.raises(ValueError):
-        env.step(state, np.array([0.5]))
-
-
 def test_actions_clipped_not_rejected():
     env = SpeedEnergy()
-    state = env.reset(seed=0)
-    _, r_big = env.step(state, np.array([5.0]))
-    _, r_one = env.step(state, np.array([1.0]))
+    obs = reset_one(env, 0)
+    _, r_big = step_one(env, obs, np.array([5.0]))
+    _, r_one = step_one(env, obs, np.array([1.0]))
     assert np.allclose(r_big, r_one)
 
 
@@ -74,39 +65,13 @@ def test_trajectories_reproducible():
     actions = np.random.default_rng(0).uniform(-1, 1, size=(20, 2))
     trajs = []
     for _ in range(2):
-        state = env.reset(seed=11)
+        obs = reset_one(env, 11)
         rows = []
         for a in actions:
-            state, r = env.step(state, a)
-            rows.append(np.concatenate([state.observation, r]))
+            obs, r = step_one(env, obs, a)
+            rows.append(np.concatenate([obs[0], r]))
         trajs.append(np.stack(rows))
     assert np.array_equal(trajs[0], trajs[1])
-
-
-def test_scalarize_examples():
-    assert scalarize(np.array([2.0, 4.0]), np.array([0.5, 0.5])) == pytest.approx(3.0)
-    assert scalarize(np.array([2.0, 4.0]), np.array([1.0, 0.0])) == pytest.approx(2.0)
-    # direct dot product arithmetic
-    assert scalarize(np.array([1.0, 2.0, 3.0]), np.array([0.2, 0.3, 0.5])) == pytest.approx(2.3)
-
-
-def test_scalarize_length_mismatch():
-    with pytest.raises(ValueError):
-        scalarize(np.array([1.0, 2.0]), np.array([1.0]))
-
-
-@given(
-    st.lists(st.floats(-10, 10), min_size=2, max_size=2),
-    st.lists(st.floats(-10, 10), min_size=2, max_size=2),
-    st.floats(-5, 5),
-    st.floats(-5, 5),
-)
-def test_scalarize_linear(r1, r2, a, b):
-    w = np.array([0.3, 0.7])
-    r1, r2 = np.array(r1), np.array(r2)
-    lhs = scalarize(a * r1 + b * r2, w)
-    rhs = a * scalarize(r1, w) + b * scalarize(r2, w)
-    assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
 def test_make_env_registry():
@@ -117,15 +82,13 @@ def test_make_env_registry():
 
 
 def test_batch_and_single_step_agree():
+    # Rows are independent episodes: a batch of three steps like three batches of one.
     env = DualGoal()
     rng = np.random.default_rng(5)
     obs = env.reset_batch(3, rng)
     actions = rng.uniform(-1, 1, size=(3, 2))
     next_obs, rewards = env.step_batch(obs, actions)
     for i in range(3):
-        from morlext.envs import EnvState
-
-        state = EnvState(observation=obs[i].copy())
-        nstate, r = env.step(state, actions[i])
-        assert np.allclose(nstate.observation, next_obs[i])
+        next_one, r = step_one(env, obs[i : i + 1].copy(), actions[i])
+        assert np.allclose(next_one[0], next_obs[i])
         assert np.allclose(r, rewards[i])

@@ -222,18 +222,17 @@ def test_select_single_candidate_is_itself(small_run):
     assert len(only) == 1 and only[0].policy_id == cands[0].policy_id
 
 
-def test_fine_tune_zero_budget_keeps_returns(small_run):
+def test_fine_tune_sub_batch_budget_trains_nothing(small_run, tmp_path):
     env, cfg, ppo_cfg, dirs, evaluator, ledger = small_run
     cands = extend(dirs, cfg, env, 0, 2000, evaluator, eval_seed=9)[:3]
+    before = ledger.finetune_steps
     tuned = fine_tune(
-        cands, env, cfg, ppo_cfg, [0, 0, 0], 0, 3000, evaluator, eval_seed=9, ledger=ledger
+        cands, env, cfg, ppo_cfg, [0, 0, ppo_cfg.steps_per_batch - 1], 0, 3000, evaluator,
+        eval_seed=9, ledger=ledger, log_dir=tmp_path / "logs",
     )
-    assert len(tuned) == 3
-    for before, after in zip(cands, tuned):
-        assert after.stage == "fine_tuned"
-        assert np.array_equal(before.returns.values, after.returns.values)
-        assert np.array_equal(before.matched_w, after.matched_w)
-        assert before.alphas == after.alphas
+    assert tuned == []
+    assert ledger.finetune_steps == before
+    assert not (tmp_path / "logs").exists()
 
 
 def test_fine_tune_trains_under_matched_weight(small_run):

@@ -7,11 +7,11 @@ from morlext.policy import (
     GaussianPolicy,
     MlpSpec,
     ParameterVector,
-    act,
     actor_from_vector,
     default_specs,
     evaluate_returns,
     flatten,
+    gaussian_log_prob,
     unflatten,
 )
 
@@ -70,35 +70,13 @@ def test_unflatten_layout_mismatch_rejected():
         unflatten(theta, MlpSpec((2, 5, 1)))
 
 
-def test_act_deterministic_under_seed():
-    spec = MlpSpec((3, 8, 2))
-    policy = random_policy(spec, seed=3)
-    obs = np.array([0.1, -0.2, 0.3])
-    a1, lp1 = act(policy, obs, np.random.default_rng(42))
-    a2, lp2 = act(policy, obs, np.random.default_rng(42))
-    assert np.array_equal(a1, a2) and lp1 == lp2
-
-
-def test_act_tiny_std_returns_mean():
-    spec = MlpSpec((3, 8, 2))
-    policy = random_policy(spec, seed=3, log_std_init=-40.0)
-    obs = np.array([0.1, -0.2, 0.3])
-    action, _ = act(policy, obs, np.random.default_rng(0))
-    mean = policy.mean_net.forward(obs[None, :])[0]
-    assert np.allclose(action, mean, atol=1e-12)
-
-
 def test_log_prob_of_mean_unit_std():
     # Closed-form Gaussian density at its mean with std=1, one dim.
     spec = MlpSpec((2, 4, 1))
     policy = random_policy(spec, seed=0, log_std_init=0.0)
-    obs = np.array([0.3, -0.7])
-    # Force the sampled action to equal the mean by zeroing the noise.
-    class ZeroRng:
-        def standard_normal(self, n):
-            return np.zeros(n)
-
-    _, logp = act(policy, obs, ZeroRng())
+    obs = np.array([[0.3, -0.7]])
+    mean = policy.mean_net.forward(obs)
+    logp = gaussian_log_prob(mean, mean, policy.log_std)[0]
     assert logp == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-12)
 
 

@@ -157,10 +157,12 @@ def make_buffer(env, theta, cfg, seed=0):
 def test_update_lr_zero_is_identity():
     env = DualGoal()
     theta = init_actor_critic(env, seed=1, hidden=(8, 8))
-    cfg = small_cfg(learning_rate=0.0)
+    cfg = small_cfg()
     buf = make_buffer(env, theta, cfg)
     actor_spec, critic_spec = specs_from_layout(theta)
-    out = ppo_update(theta, buf, cfg, actor_spec, critic_spec, np.random.default_rng(0))
+    # PpoConfig rejects learning_rate=0, so the zero-step optimizer is passed in.
+    zero_lr = Adam(theta.layout.size, lr=0.0)
+    out = ppo_update(theta, buf, cfg, actor_spec, critic_spec, np.random.default_rng(0), zero_lr)
     assert np.array_equal(out.data, theta.data)
 
 

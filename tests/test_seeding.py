@@ -1,16 +1,22 @@
-from morlext.seeding import derive_rng, derive_seed
+import numpy as np
+
+from morlext.seeding import derive_seed, seed_sequence
+
+
+def stream(root_seed, *path):
+    return np.random.default_rng(seed_sequence(root_seed, *path)).standard_normal(4)
 
 
 def test_same_path_same_stream():
-    a = derive_rng(7, "init", 3).standard_normal(4)
-    b = derive_rng(7, "init", 3).standard_normal(4)
+    a = stream(7, "init", 3)
+    b = stream(7, "init", 3)
     assert (a == b).all()
 
 
 def test_different_paths_independent():
-    a = derive_rng(7, "init", 3).standard_normal(4)
-    b = derive_rng(7, "init", 4).standard_normal(4)
-    c = derive_rng(8, "init", 3).standard_normal(4)
+    a = stream(7, "init", 3)
+    b = stream(7, "init", 4)
+    c = stream(8, "init", 3)
     assert not (a == b).all()
     assert not (a == c).all()
 
