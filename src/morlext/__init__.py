@@ -34,13 +34,7 @@ from .policy import (
 )
 from .ppo import PpoConfig, RolloutBuffer, compute_gae, ppo_update, train
 from .distance import Matching, hungarian_distance, hungarian_solve
-from .quadratic import (
-    ErrorCurve,
-    QuadraticObjectiveFamily,
-    lipschitz_probe,
-    lle_error_curve,
-    ppr_delta,
-)
+from .quadratic import ErrorCurve, QuadraticObjectiveFamily, lle_error_curve
 
 __version__ = "0.1.0"
 
@@ -72,13 +66,11 @@ __all__ = [
     "hungarian_distance",
     "hungarian_solve",
     "hypervolume",
-    "lipschitz_probe",
     "lle_error_curve",
     "make_base_weights",
     "make_env",
     "non_dominated_filter",
     "ppo_update",
-    "ppr_delta",
     "run_pipeline",
     "shift_weight",
     "sparsity",

@@ -19,7 +19,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import fields
+from dataclasses import Field, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +62,24 @@ class ConfigError(ValueError):
 # Config files
 
 
+def _section_fields(cls: type) -> dict[str, Field]:
+    """INI key -> field of a config dataclass. The run seed is set only in [run]."""
+    return {f.name.lower(): f for f in fields(cls) if f.name != "seed"}
+
+
+def _parse_section(parser: configparser.ConfigParser, section: str, cls: type) -> dict:
+    """Keyword arguments for `cls` from one INI section, each value converted
+    to the type of its field's default."""
+    known = _section_fields(cls)
+    kwargs = {}
+    for key, text in (parser[section] if parser.has_section(section) else {}).items():
+        if key not in known:
+            raise ConfigError(f"unknown [{section}] key: {key}")
+        field = known[key]
+        kwargs[field.name] = type(field.default)(text)
+    return kwargs
+
+
 def load_run_config(path: str | Path) -> dict:
     """Parse an INI run config, applying defaults for anything omitted."""
     parser = configparser.ConfigParser()
@@ -70,35 +88,14 @@ def load_run_config(path: str | Path) -> dict:
         raise ConfigError(f"config file {path} not found or unreadable")
 
     run = dict(parser["run"]) if parser.has_section("run") else {}
-    lle = dict(parser["lle"]) if parser.has_section("lle") else {}
-    ppo = dict(parser["ppo"]) if parser.has_section("ppo") else {}
-
     known_run = {"env", "seed", "total_budget", "output_dir"}
     if unknown := set(run) - known_run:
         raise ConfigError(f"unknown [run] keys: {sorted(unknown)}")
 
     seed = int(run.get("seed", 0))
-    lle_kwargs = {"seed": seed}
-    lle_fields = {f.name.lower(): f.name for f in fields(LleConfig)}
-    for key, text in lle.items():
-        if key not in lle_fields:
-            raise ConfigError(f"unknown [lle] key: {key}")
-        name = lle_fields[key]
-        if name in ("K", "T_init", "T_dir", "T_ref", "eval_episodes", "final_eval_episodes", "seed"):
-            lle_kwargs[name] = int(text)
-        else:
-            lle_kwargs[name] = float(text)
-
-    ppo_kwargs = {}
-    ppo_fields = {f.name for f in fields(PpoConfig)}
-    for key, text in ppo.items():
-        if key not in ppo_fields:
-            raise ConfigError(f"unknown [ppo] key: {key}")
-        ppo_kwargs[key] = int(text) if key in ("steps_per_batch", "minibatches", "epochs") else float(text)
-
     try:
-        lle_cfg = LleConfig(**lle_kwargs)
-        ppo_cfg = PpoConfig(**ppo_kwargs)
+        lle_cfg = LleConfig(seed=seed, **_parse_section(parser, "lle", LleConfig))
+        ppo_cfg = PpoConfig(**_parse_section(parser, "ppo", PpoConfig))
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
@@ -124,12 +121,10 @@ def write_config_snapshot(path: Path, config: dict) -> None:
     def fmt(value) -> str:
         return repr(value) if isinstance(value, float) else str(value)
 
-    parser["lle"] = {
-        f.name.lower(): fmt(getattr(config["lle"], f.name))
-        for f in fields(LleConfig)
-        if getattr(config["lle"], f.name) is not None
-    }
-    parser["ppo"] = {f.name: fmt(getattr(config["ppo"], f.name)) for f in fields(PpoConfig)}
+    for section, cfg in (("lle", config["lle"]), ("ppo", config["ppo"])):
+        parser[section] = {
+            key: fmt(getattr(cfg, f.name)) for key, f in _section_fields(type(cfg)).items()
+        }
     with open(path, "w") as fh:
         parser.write(fh)
 

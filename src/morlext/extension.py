@@ -31,7 +31,7 @@ import numpy as np
 from .envs import VectorRewardEnv, check_weight
 from .pareto import FrontPoint, ParetoArchive, default_reference_point, dominates, non_dominated_filter
 from .policy import ParameterVector, ReturnVector, evaluate_returns
-from .ppo import DivergenceError, PpoConfig, init_actor_critic, train
+from .ppo import DivergenceError, PpoConfig, init_actor_critic, steps_taken, train
 from .seeding import derive_seed
 
 # Singular-value ratio at or below which a direction matrix counts as rank deficient.
@@ -40,16 +40,14 @@ RANK_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class LleConfig:
-    """Pipeline knobs: base count, shift, coefficient grid, budgets."""
+    """Pipeline knobs: base count, shift, coefficient grid, evaluation
+    grades, and the run seed every random draw derives from."""
 
     K: int = 6
     delta_s: float = 0.1
     alpha_start: float = -1.5
     alpha_end: float = 1.5
     delta_alpha: float = 0.05
-    T_init: int | None = None  # per-run overrides; None = derive from the 3:1:1 split
-    T_dir: int | None = None
-    T_ref: int | None = None
     eval_episodes: int = 8
     final_eval_episodes: int = 32
     seed: int = 0
@@ -309,7 +307,7 @@ def directional_retrain(
                 seed=derive_seed(seed_root, "retrain", base_index, i),
                 log_stream=log,
             )
-        ledger.retrain_steps += (t_dirs[i - 1] // ppo_cfg.steps_per_batch) * ppo_cfg.steps_per_batch
+        ledger.retrain_steps += steps_taken(t_dirs[i - 1], ppo_cfg)
         dirs.retrained_thetas.append(retrained)
         dirs.deltas.append(ParameterVector(retrained.data - base_theta.data, base_theta.layout))
         dirs.weight_deltas.append(shifted - base_w)
@@ -436,7 +434,7 @@ def fine_tune(
         except DivergenceError as err:
             warnings.warn(f"fine-tuning candidate {cand.policy_id} diverged: {err}", stacklevel=2)
             continue
-        ledger.finetune_steps += (steps // ppo_cfg.steps_per_batch) * ppo_cfg.steps_per_batch
+        ledger.finetune_steps += steps_taken(steps, ppo_cfg)
         tuned = CandidatePolicy(
             theta=theta,
             matched_w=cand.matched_w.copy(),
@@ -464,6 +462,17 @@ def _even_batch_split(total_steps: int, n_runs: int, batch: int) -> list[int]:
     batches = total_steps // batch
     base, extra = divmod(batches, n_runs)
     return [(base + (1 if j < extra else 0)) * batch for j in range(n_runs)]
+
+
+def _batch_for_each_run(total_steps: int, n_runs: int, batch: int, runs: str) -> list[int]:
+    """`_even_batch_split` for a stage whose every run must train; a share
+    too small to give each run one batch is rejected."""
+    if total_steps // batch < n_runs:
+        raise ValueError(
+            f"budget too small: a share of {total_steps} steps cannot give each of "
+            f"{n_runs} {runs} one batch of {batch} steps"
+        )
+    return _even_batch_split(total_steps, n_runs, batch)
 
 
 @dataclass
@@ -494,11 +503,10 @@ def run_pipeline(
     """Execute all five stages under one interaction budget.
 
     The budget is split 3:1:1 over initialization, directional
-    retraining, and fine-tuning unless the config pins a stage
-    explicitly. Every return vector entering the final archive is
-    re-evaluated at final grade with a shared seed, so identical
-    policies collapse exactly and stage-to-stage hypervolume can only
-    grow.
+    retraining, and fine-tuning. Every return vector entering the final
+    archive is re-evaluated at final grade with a shared seed, so
+    identical policies collapse exactly and stage-to-stage hypervolume
+    can only grow.
     """
     d = env.spec.d
     m = d - 1
@@ -508,28 +516,8 @@ def run_pipeline(
     evaluator = _Evaluator(env, ledger)
     batch = ppo_cfg.steps_per_batch
 
-    init_share = 3 * total_budget // 5
-    dir_share = total_budget // 5
-    ref_share = total_budget // 5
-
-    if cfg.T_init is not None:
-        init_budgets = [cfg.T_init] * cfg.K
-    else:
-        init_budgets = _even_batch_split(init_share, cfg.K, batch)
-        if min(init_budgets) < batch:
-            raise ValueError(
-                f"budget too small: initialization share {init_share} cannot give "
-                f"each of {cfg.K} bases one batch of {batch} steps"
-            )
-    if cfg.T_dir is not None:
-        dir_budgets = [cfg.T_dir] * (cfg.K * m)
-    else:
-        dir_budgets = _even_batch_split(dir_share, cfg.K * m, batch)
-        if min(dir_budgets) < batch:
-            raise ValueError(
-                f"budget too small: retraining share {dir_share} cannot give each "
-                f"of {cfg.K * m} direction runs one batch of {batch} steps"
-            )
+    init_budgets = _batch_for_each_run(3 * total_budget // 5, cfg.K, batch, "bases")
+    dir_budgets = _batch_for_each_run(total_budget // 5, cfg.K * m, batch, "direction runs")
 
     weights = make_base_weights(cfg.K, d)
     select_seed = derive_seed(seed_root, "eval.select")
@@ -544,7 +532,7 @@ def run_pipeline(
                 theta0, env, w, init_budgets[k], ppo_cfg,
                 seed=derive_seed(seed_root, "init", k), log_stream=log,
             )
-        ledger.init_steps += (init_budgets[k] // batch) * batch
+        ledger.init_steps += steps_taken(init_budgets[k], ppo_cfg)
         base_thetas.append(theta)
 
     # Stage 2: directions.
@@ -595,10 +583,7 @@ def run_pipeline(
     selected = select_candidates(candidates)
 
     # Stage 5: preference-aligned fine-tuning.
-    if cfg.T_ref is not None:
-        ft_budgets = [cfg.T_ref] * len(selected)
-    else:
-        ft_budgets = _even_batch_split(ref_share, len(selected), batch)
+    ft_budgets = _even_batch_split(total_budget // 5, len(selected), batch)
     fine_tuned = fine_tune(
         selected, env, cfg, ppo_cfg, ft_budgets, seed_root, next_id, evaluator, select_seed,
         ledger, log_dir,

@@ -116,9 +116,10 @@ class GaussianPolicy:
         return cls(mean_net=net, log_std=np.full(spec.layer_sizes[-1], log_std_init))
 
     @classmethod
-    def from_vector(cls, theta: "ParameterVector", spec: MlpSpec) -> "GaussianPolicy":
+    def from_vector(cls, theta: "ParameterVector") -> "GaussianPolicy":
         """A policy whose mean network and log stds are views into theta."""
-        return cls(mean_net=Mlp.from_vector(theta, "actor", spec), log_std=theta.block("actor.log_std"))
+        mean_net = Mlp.from_vector(theta, "actor", theta.layout.specs[0])
+        return cls(mean_net=mean_net, log_std=theta.block("actor.log_std"))
 
 
 @dataclass
@@ -265,26 +266,18 @@ def flatten(model: GaussianPolicy | ActorCritic) -> ParameterVector:
     return _pack(policy_layout(policy.mean_net.spec, layout_critic), blocks)
 
 
-def unflatten(
-    theta: ParameterVector,
-    actor_spec: MlpSpec,
-    critic_spec: MlpSpec | None = None,
-    copy: bool = True,
-) -> GaussianPolicy | ActorCritic:
-    """Inverse of flatten. With copy=False the networks are views into theta."""
-    if theta.layout != policy_layout(actor_spec, critic_spec):
-        raise ValueError("parameter layout does not match the given network spec")
+def unflatten(theta: ParameterVector, copy: bool = True) -> GaussianPolicy | ActorCritic:
+    """Inverse of flatten, with the network shapes read from theta's layout.
+
+    With copy=False the networks are views into theta.
+    """
     if copy:
         theta = theta.copy()
-    policy = GaussianPolicy.from_vector(theta, actor_spec)
+    policy = GaussianPolicy.from_vector(theta)
+    critic_spec = theta.layout.specs[1]
     if critic_spec is None:
         return policy
     return ActorCritic(policy=policy, value_net=Mlp.from_vector(theta, "critic", critic_spec))
-
-
-def actor_from_vector(theta: ParameterVector) -> GaussianPolicy:
-    """Just the actor, as views into theta, using theta's own layout."""
-    return GaussianPolicy.from_vector(theta, theta.layout.specs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +321,7 @@ def evaluate_returns(
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    policy = actor_from_vector(theta)
+    policy = GaussianPolicy.from_vector(theta)
     rng = np.random.default_rng(seed)
     obs = env.reset_batch(episodes, rng)
     totals = np.zeros((episodes, env.spec.d))

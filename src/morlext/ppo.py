@@ -31,7 +31,6 @@ from .envs import VectorRewardEnv, check_weight
 from .policy import (
     ActorCritic,
     Mlp,
-    MlpSpec,
     ParameterVector,
     default_specs,
     flatten,
@@ -142,23 +141,20 @@ class UpdateViews:
     valid while the vector is updated in place.
     """
 
-    def __init__(self, theta: ParameterVector, actor_spec: MlpSpec, critic_spec: MlpSpec):
-        model = unflatten(theta, actor_spec, critic_spec, copy=False)
-        assert isinstance(model, ActorCritic)
+    def __init__(self, theta: ParameterVector):
+        model = unflatten(theta, copy=False)
         self.actor = model.policy.mean_net
         self.log_std = model.policy.log_std
         self.critic = model.value_net
         grad = ParameterVector(np.zeros(theta.layout.size), theta.layout)
         self.grad = grad.data
-        self.grad_actor = Mlp.from_vector(grad, "actor", actor_spec)
+        self.grad_actor = Mlp.from_vector(grad, "actor", self.actor.spec)
         self.grad_log_std = grad.block("actor.log_std")
-        self.grad_critic = Mlp.from_vector(grad, "critic", critic_spec)
+        self.grad_critic = Mlp.from_vector(grad, "critic", self.critic.spec)
 
 
 def loss_and_grad(
     theta: ParameterVector,
-    actor_spec: MlpSpec,
-    critic_spec: MlpSpec,
     obs: np.ndarray,
     actions: np.ndarray,
     log_probs_old: np.ndarray,
@@ -174,7 +170,7 @@ def loss_and_grad(
     overwrites; without `views` the returned gradient is a fresh array.
     """
     if views is None:
-        views = UpdateViews(theta, actor_spec, critic_spec)
+        views = UpdateViews(theta)
     actor, critic, log_std = views.actor, views.critic, views.log_std
     n = obs.shape[0]
 
@@ -268,8 +264,6 @@ def ppo_update(
     theta: ParameterVector,
     buffer: RolloutBuffer,
     cfg: PpoConfig,
-    actor_spec: MlpSpec,
-    critic_spec: MlpSpec,
     rng: np.random.Generator,
     optimizer: Adam | None = None,
 ) -> ParameterVector:
@@ -281,7 +275,7 @@ def ppo_update(
     theta = theta.copy()
     if optimizer is None:
         optimizer = Adam(theta.layout.size, cfg.learning_rate)
-    views = UpdateViews(theta, actor_spec, critic_spec)
+    views = UpdateViews(theta)
     n = len(buffer)
     mb_size = max(1, n // cfg.minibatches)
     for _ in range(cfg.epochs):
@@ -290,8 +284,6 @@ def ppo_update(
             idx = order[start : start + mb_size]
             _, grad = loss_and_grad(
                 theta,
-                actor_spec,
-                critic_spec,
                 buffer.observations[idx],
                 buffer.actions[idx],
                 buffer.log_probs[idx],
@@ -314,8 +306,6 @@ def collect_rollout(
     weight: np.ndarray,
     cfg: PpoConfig,
     rng: np.random.Generator,
-    actor_spec: MlpSpec,
-    critic_spec: MlpSpec,
     carry: tuple[np.ndarray, int] | None,
 ) -> tuple[RolloutBuffer, tuple[np.ndarray, int]]:
     """Gather one on-policy batch, scalarizing rewards at storage time.
@@ -323,8 +313,7 @@ def collect_rollout(
     Episodes auto-reset at the horizon; `carry` is the (observation,
     step index) of an episode left unfinished by the previous batch.
     """
-    model = unflatten(theta, actor_spec, critic_spec, copy=False)
-    assert isinstance(model, ActorCritic)
+    model = unflatten(theta, copy=False)
     actor = model.policy.mean_net
     log_std = model.policy.log_std
     std = np.exp(log_std)
@@ -387,6 +376,11 @@ def collect_rollout(
     return buffer, (obs, step_index)
 
 
+def steps_taken(total_steps: int, cfg: PpoConfig) -> int:
+    """Environment steps `train` takes on a budget: whole batches only."""
+    return int(total_steps) // cfg.steps_per_batch * cfg.steps_per_batch
+
+
 def train(
     theta: ParameterVector,
     env: VectorRewardEnv,
@@ -399,20 +393,21 @@ def train(
     """Train under one preference weight until the step budget is consumed.
 
     Whole batches only: the number of environment steps taken is
-    `(total_steps // steps_per_batch) * steps_per_batch`. total_steps=0
-    returns the input unchanged. Fully reproducible from (theta, seed).
+    `steps_taken(total_steps, cfg)`. A budget below one batch returns the
+    input unchanged. Fully reproducible from (theta, seed).
     """
     weight = check_weight(weight, env.spec.d)
-    actor_spec, critic_spec = specs_from_layout(theta)
-    n_batches = int(total_steps) // cfg.steps_per_batch
+    if theta.layout.specs[1] is None:
+        raise ValueError("parameter vector has no critic block; train needs an actor-critic layout")
+    n_batches = steps_taken(total_steps, cfg) // cfg.steps_per_batch
     if n_batches == 0:
         return theta.copy()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     optimizer = Adam(theta.layout.size, cfg.learning_rate)
     carry = None
     for batch_index in range(n_batches):
-        buffer, carry = collect_rollout(theta, env, weight, cfg, rng, actor_spec, critic_spec, carry)
-        theta = ppo_update(theta, buffer, cfg, actor_spec, critic_spec, rng, optimizer)
+        buffer, carry = collect_rollout(theta, env, weight, cfg, rng, carry)
+        theta = ppo_update(theta, buffer, cfg, rng, optimizer)
         if log_stream is not None:
             mean_ep = float(buffer.scalar_rewards.sum() / max(1, buffer.dones.sum()))
             log_stream.write(
@@ -421,14 +416,6 @@ def train(
                 f"value_residual={float(np.mean((buffer.value_estimates - buffer.returns) ** 2)):.4f}\n"
             )
     return theta
-
-
-def specs_from_layout(theta: ParameterVector) -> tuple[MlpSpec, MlpSpec]:
-    """Recover (actor_spec, critic_spec) from a combined parameter layout."""
-    actor_spec, critic_spec = theta.layout.specs
-    if critic_spec is None:
-        raise ValueError("parameter vector has no critic block; train needs an actor-critic layout")
-    return actor_spec, critic_spec
 
 
 def init_actor_critic(env: VectorRewardEnv, seed: int, hidden: tuple[int, ...] = (64, 64)) -> ParameterVector:

@@ -86,45 +86,6 @@ class QuadraticObjectiveFamily:
         return grad
 
 
-def ppr_delta(fam: QuadraticObjectiveFamily, theta: np.ndarray, dtheta: np.ndarray) -> np.ndarray:
-    """Performance shift V(theta + dtheta) - V(theta), in closed form."""
-    theta = np.asarray(theta, dtype=np.float64)
-    dtheta = np.asarray(dtheta, dtype=np.float64)
-    if theta.shape != dtheta.shape or theta.shape != (fam.n,):
-        raise ValueError("theta and dtheta must both have the family's dimension")
-    return fam.values(theta + dtheta) - fam.values(theta)
-
-
-def lipschitz_probe(
-    fam: QuadraticObjectiveFamily,
-    region_radius: float,
-    n_samples: int,
-    seed: int,
-    center: np.ndarray | None = None,
-) -> float:
-    """Empirical lower bound on the local Lipschitz constant of V.
-
-    Max of ||V(a) - V(b)|| / ||a - b|| over sampled pairs inside the ball.
-    """
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    rng = np.random.default_rng(seed)
-    if center is None:
-        center = np.zeros(fam.n)
-    # Uniform in the ball: gaussian direction, radius ~ r * u^(1/n).
-    def ball(k: int) -> np.ndarray:
-        dirs = rng.standard_normal((k, fam.n))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        radii = region_radius * rng.uniform(size=(k, 1)) ** (1.0 / fam.n)
-        return center + dirs * radii
-
-    a, b = ball(n_samples), ball(n_samples)
-    gap = np.linalg.norm(a - b, axis=1)
-    keep = gap > 1e-12
-    ratios = np.linalg.norm(fam.values(a) - fam.values(b), axis=1)[keep] / gap[keep]
-    return float(ratios.max())
-
-
 # ---------------------------------------------------------------------------
 # Exact fronts and extrapolation error curves
 

@@ -1,10 +1,13 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from morlext.cli import load_run_config, main
+from morlext.cli import load_run_config, main, write_config_snapshot
+from morlext.extension import LleConfig
 from morlext.pareto import load_front_table
+from morlext.ppo import PpoConfig
 
 
 MINIMAL_CONFIG = """\
@@ -132,10 +135,41 @@ def test_missing_config_is_usage_error(capsys):
     assert main(["run", "--config", "/nonexistent/config.ini"]) == 1
 
 
-def test_unknown_config_key_rejected(tmp_path):
-    config = tmp_path / "c.ini"
-    config.write_text("[run]\nenv = dual_goal\nbogus_key = 3\noutput_dir = /tmp/x\n")
-    assert main(["run", "--config", str(config)]) == 1
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    # Stage budgets come from the 3:1:1 split and the seed from [run], so
+    # no [lle] key sets either.
+    cases = [("run", "bogus_key", "3"), ("lle", "t_init", "63"), ("lle", "t_dir", "64"),
+             ("lle", "t_ref", "0"), ("lle", "seed", "7")]
+    for section, key, value in cases:
+        sections = {"run": f"env = dual_goal\noutput_dir = {tmp_path / 'x'}\n",
+                    "ppo": "steps_per_batch = 64\n", "lle": ""}
+        sections[section] += f"{key} = {value}\n"
+        config = tmp_path / "c.ini"
+        config.write_text("".join(f"[{name}]\n{body}" for name, body in sections.items()))
+        assert main(["run", "--config", str(config)]) == 1, key
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
+def test_config_snapshot_round_trips_every_field(tmp_path):
+    lle = LleConfig(
+        K=3, delta_s=0.2, alpha_start=-0.75, alpha_end=1.25, delta_alpha=0.125,
+        eval_episodes=3, final_eval_episodes=5, seed=11,
+    )
+    ppo = PpoConfig(
+        steps_per_batch=96, learning_rate=1e-3, gamma=0.9, gae_lambda=0.8, minibatches=3,
+        epochs=4, clip=0.3, value_coeff=0.25, entropy_coeff=0.01, max_grad_norm=0.75,
+    )
+    for cls, cfg in ((LleConfig, lle), (PpoConfig, ppo)):
+        assert all(getattr(cfg, f.name) != f.default for f in fields(cls))
+    config = {"env": "speed_energy", "seed": 11, "total_budget": 4321,
+              "output_dir": str(tmp_path / "out"), "lle": lle, "ppo": ppo}
+    write_config_snapshot(tmp_path / "config.ini", config)
+    loaded = load_run_config(tmp_path / "config.ini")
+    assert loaded == config
+    for section, cls in (("lle", LleConfig), ("ppo", PpoConfig)):
+        for f in fields(cls):  # 3.0 == 3, so equality alone would pass a float K
+            assert type(getattr(loaded[section], f.name)) is type(getattr(config[section], f.name))
 
 
 def test_budget_too_small_is_usage_error(tmp_path, capsys):

@@ -320,14 +320,6 @@ def test_pipeline_budget_too_small_rejected():
         run_pipeline(env, tiny_cfg(K=2), tiny_ppo(), total_budget=300)
 
 
-def test_pipeline_t_ref_zero_all_extended():
-    env = DualGoal()
-    cfg = tiny_cfg(K=2, delta_alpha=0.5, T_ref=0, seed=21)
-    result = run_pipeline(env, cfg, tiny_ppo(), total_budget=1500)
-    assert result.ledger.finetune_steps == 0
-    assert all(p.stage == "extended" for p in result.archive.points)
-
-
 # ---------------------------------------------------------------------------
 # Training-scale direction and fine-tuning oracles
 

@@ -7,7 +7,6 @@ from morlext.policy import (
     GaussianPolicy,
     MlpSpec,
     ParameterVector,
-    actor_from_vector,
     default_specs,
     evaluate_returns,
     flatten,
@@ -31,7 +30,7 @@ def test_flatten_unflatten_roundtrip_bit_exact():
     spec = MlpSpec((3, 8, 5, 2))
     policy = random_policy(spec, seed=4)
     theta = flatten(policy)
-    back = unflatten(theta, spec)
+    back = unflatten(theta)
     assert isinstance(back, GaussianPolicy)
     theta2 = flatten(back)
     assert np.array_equal(theta.data, theta2.data)
@@ -43,7 +42,7 @@ def test_flatten_actor_critic_roundtrip():
     actor_spec, critic_spec = default_specs(4, 2, hidden=(8, 8))
     ac = ActorCritic.init(actor_spec, critic_spec, np.random.default_rng(2))
     theta = flatten(ac)
-    back = unflatten(theta, actor_spec, critic_spec)
+    back = unflatten(theta)
     assert np.array_equal(flatten(back).data, theta.data)
 
 
@@ -59,15 +58,9 @@ def test_single_weight_change_single_coordinate():
 def test_zero_vector_gives_zero_mean_policy():
     spec = MlpSpec((3, 4, 2))
     layout = flatten(random_policy(spec)).layout
-    zero = unflatten(ParameterVector(np.zeros(layout.size), layout), spec)
+    zero = unflatten(ParameterVector(np.zeros(layout.size), layout))
     obs = np.random.default_rng(0).normal(size=(5, 3))
     assert np.allclose(zero.mean_net.forward(obs), 0.0)
-
-
-def test_unflatten_layout_mismatch_rejected():
-    theta = flatten(random_policy(MlpSpec((2, 4, 1))))
-    with pytest.raises(ValueError):
-        unflatten(theta, MlpSpec((2, 5, 1)))
 
 
 def test_log_prob_of_mean_unit_std():
@@ -125,7 +118,7 @@ def test_evaluation_noise_shrinks_with_episodes():
 def test_actor_from_vector_matches_unflatten():
     actor_spec, critic_spec = default_specs(4, 2)
     theta = flatten(ActorCritic.init(actor_spec, critic_spec, np.random.default_rng(3)))
-    actor = actor_from_vector(theta)
+    actor = GaussianPolicy.from_vector(theta)
     obs = np.random.default_rng(0).normal(size=(3, 4))
-    full = unflatten(theta, actor_spec, critic_spec)
+    full = unflatten(theta)
     assert np.array_equal(actor.mean_net.forward(obs), full.policy.mean_net.forward(obs))

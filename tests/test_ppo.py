@@ -11,7 +11,6 @@ from morlext.ppo import (
     init_actor_critic,
     loss_and_grad,
     ppo_update,
-    specs_from_layout,
     train,
 )
 
@@ -78,12 +77,11 @@ def test_gae_length_mismatch():
 def frozen_minibatch(env, theta, n=32, seed=0):
     """A fixed batch with old log probs offset so clipping is exercised."""
     rng = np.random.default_rng(seed)
-    actor_spec, critic_spec = specs_from_layout(theta)
     obs = rng.normal(size=(n, env.spec.obs_dim))
     actions = rng.normal(size=(n, env.spec.act_dim))
     from morlext.policy import unflatten, gaussian_log_prob
 
-    model = unflatten(theta, actor_spec, critic_spec)
+    model = unflatten(theta)
     means = model.policy.mean_net.forward(obs)
     logp = gaussian_log_prob(actions, means, model.policy.log_std)
     logp_old = logp + rng.normal(scale=0.3, size=n)  # spreads ratios past the clip range
@@ -96,7 +94,6 @@ def frozen_minibatch(env, theta, n=32, seed=0):
 def test_gradient_matches_finite_differences():
     env = DualGoal()
     theta = init_actor_critic(env, seed=123, hidden=(16, 16))
-    actor_spec, critic_spec = specs_from_layout(theta)
     cfg = PpoConfig()
     obs, actions, logp_old, advantages, returns = frozen_minibatch(env, theta)
 
@@ -104,13 +101,13 @@ def test_gradient_matches_finite_differences():
         from morlext.policy import ParameterVector
 
         loss, _ = loss_and_grad(
-            ParameterVector(vec, theta.layout), actor_spec, critic_spec,
+            ParameterVector(vec, theta.layout),
             obs, actions, logp_old, advantages, returns, cfg,
         )
         return loss
 
     _, grad = loss_and_grad(
-        theta, actor_spec, critic_spec, obs, actions, logp_old, advantages, returns, cfg
+        theta, obs, actions, logp_old, advantages, returns, cfg
     )
     rng = np.random.default_rng(7)
     coords = rng.choice(theta.layout.size, size=100, replace=False)
@@ -132,10 +129,9 @@ def test_clipping_actually_active_in_frozen_batch():
     env = DualGoal()
     theta = init_actor_critic(env, seed=123, hidden=(16, 16))
     obs, actions, logp_old, _, _ = frozen_minibatch(env, theta)
-    actor_spec, critic_spec = specs_from_layout(theta)
     from morlext.policy import unflatten, gaussian_log_prob
 
-    model = unflatten(theta, actor_spec, critic_spec)
+    model = unflatten(theta)
     ratios = np.exp(
         gaussian_log_prob(actions, model.policy.mean_net.forward(obs), model.policy.log_std)
         - logp_old
@@ -148,9 +144,8 @@ def test_clipping_actually_active_in_frozen_batch():
 
 
 def make_buffer(env, theta, cfg, seed=0):
-    actor_spec, critic_spec = specs_from_layout(theta)
     rng = np.random.default_rng(seed)
-    buf, _ = collect_rollout(theta, env, np.array([0.5, 0.5]), cfg, rng, actor_spec, critic_spec, None)
+    buf, _ = collect_rollout(theta, env, np.array([0.5, 0.5]), cfg, rng, None)
     return buf
 
 
@@ -159,10 +154,9 @@ def test_update_lr_zero_is_identity():
     theta = init_actor_critic(env, seed=1, hidden=(8, 8))
     cfg = small_cfg()
     buf = make_buffer(env, theta, cfg)
-    actor_spec, critic_spec = specs_from_layout(theta)
     # PpoConfig rejects learning_rate=0, so the zero-step optimizer is passed in.
     zero_lr = Adam(theta.layout.size, lr=0.0)
-    out = ppo_update(theta, buf, cfg, actor_spec, critic_spec, np.random.default_rng(0), zero_lr)
+    out = ppo_update(theta, buf, cfg, np.random.default_rng(0), zero_lr)
     assert np.array_equal(out.data, theta.data)
 
 
@@ -172,8 +166,7 @@ def test_update_zero_advantages_only_moves_critic():
     cfg = small_cfg()
     buf = make_buffer(env, theta, cfg)
     buf.advantages[:] = 0.0
-    actor_spec, critic_spec = specs_from_layout(theta)
-    out = ppo_update(theta, buf, cfg, actor_spec, critic_spec, np.random.default_rng(0))
+    out = ppo_update(theta, buf, cfg, np.random.default_rng(0))
     offsets = theta.layout.offsets()
     for key, _ in theta.layout.entries:
         start, end, _ = offsets[key]
@@ -190,8 +183,7 @@ def test_update_does_not_mutate_input():
     snapshot = theta.data.copy()
     cfg = small_cfg()
     buf = make_buffer(env, theta, cfg)
-    actor_spec, critic_spec = specs_from_layout(theta)
-    ppo_update(theta, buf, cfg, actor_spec, critic_spec, np.random.default_rng(0))
+    ppo_update(theta, buf, cfg, np.random.default_rng(0))
     assert np.array_equal(theta.data, snapshot)
 
 
@@ -210,9 +202,8 @@ def test_non_finite_loss_reports_divergence():
     cfg = small_cfg()
     buf = make_buffer(env, theta, cfg)
     buf.returns[:] = np.inf  # poisons the value loss
-    actor_spec, critic_spec = specs_from_layout(theta)
     with pytest.raises(DivergenceError):
-        ppo_update(theta, buf, cfg, actor_spec, critic_spec, np.random.default_rng(0))
+        ppo_update(theta, buf, cfg, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +302,11 @@ def test_interaction_accounting_within_one_batch():
 # Bit-identity with a textbook reference loop
 
 
-def _reference_grad(theta, actor_spec, critic_spec, obs, actions, logp_old, advantages, returns, cfg):
+def _reference_grad(theta, obs, actions, logp_old, advantages, returns, cfg):
     """The PPO gradient with fresh views, allocating backprop and a packed vector."""
     from morlext.policy import gaussian_log_prob, unflatten
 
-    model = unflatten(theta, actor_spec, critic_spec, copy=False)
+    model = unflatten(theta, copy=False)
     actor, critic, log_std = model.policy.mean_net, model.value_net, model.policy.log_std
     n = obs.shape[0]
     means, actor_acts = actor.forward_cached(obs)
@@ -351,7 +342,6 @@ def _reference_train(theta, env, weight, total_steps, cfg, seed):
     per-call unflatten and the allocating Adam formula."""
     from morlext.policy import gaussian_log_prob, unflatten
 
-    actor_spec, critic_spec = specs_from_layout(theta)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     m = np.zeros(theta.layout.size)
     v = np.zeros(theta.layout.size)
@@ -360,7 +350,7 @@ def _reference_train(theta, env, weight, total_steps, cfg, seed):
     theta = theta.copy()
     n = cfg.steps_per_batch
     for _ in range(total_steps // n):
-        model = unflatten(theta, actor_spec, critic_spec)
+        model = unflatten(theta)
         log_std = model.policy.log_std
         obs_buf, act_buf = np.empty((n, env.spec.obs_dim)), np.empty((n, env.spec.act_dim))
         logp_buf, rew_buf, done_buf = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
@@ -388,7 +378,7 @@ def _reference_train(theta, env, weight, total_steps, cfg, seed):
             for start in range(0, n, mb_size):
                 idx = order[start : start + mb_size]
                 grad = _reference_grad(
-                    theta, actor_spec, critic_spec, obs_buf[idx], act_buf[idx],
+                    theta, obs_buf[idx], act_buf[idx],
                     logp_buf[idx], adv[idx], ret[idx], cfg,
                 )
                 norm = float(np.linalg.norm(grad))
@@ -418,12 +408,11 @@ def test_train_bit_identical_to_textbook_reference():
 def test_loss_and_grad_result_survives_next_call():
     env = DualGoal()
     theta = init_actor_critic(env, seed=22, hidden=(16, 16))
-    actor_spec, critic_spec = specs_from_layout(theta)
     cfg = PpoConfig()
     first = frozen_minibatch(env, theta, seed=0)
-    _, grad = loss_and_grad(theta, actor_spec, critic_spec, *first, cfg)
+    _, grad = loss_and_grad(theta, *first, cfg)
     kept = grad.copy()
-    assert np.array_equal(kept, _reference_grad(theta, actor_spec, critic_spec, *first, cfg))
-    _, other = loss_and_grad(theta, actor_spec, critic_spec, *frozen_minibatch(env, theta, seed=1), cfg)
+    assert np.array_equal(kept, _reference_grad(theta, *first, cfg))
+    _, other = loss_and_grad(theta, *frozen_minibatch(env, theta, seed=1), cfg)
     assert not np.array_equal(other, kept)
     assert np.array_equal(grad, kept)

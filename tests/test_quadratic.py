@@ -4,11 +4,9 @@ import pytest
 from morlext.quadratic import (
     ErrorCurve,
     QuadraticObjectiveFamily,
-    lipschitz_probe,
     lle_error_curve,
     pareto_path,
     polyline_distance,
-    ppr_delta,
     preset_error_curve,
     preset_family,
     retrain_directions,
@@ -27,46 +25,6 @@ def test_family_rejects_indefinite_curvature():
             centers=np.array([[0.0, 0.0]]),
             curvatures=np.array([[[1.0, 0.0], [0.0, -1.0]]]),
         )
-
-
-def test_ppr_delta_zero_perturbation():
-    fam = preset_family("curved")
-    theta = np.array([0.3, 0.4])
-    assert np.allclose(ppr_delta(fam, theta, np.zeros(2)), 0.0)
-
-
-def test_ppr_delta_unit_step_hand_value():
-    # V = -theta^2 with c=0: V(1) - V(0) = -1.
-    fam = one_dim_family()
-    assert ppr_delta(fam, np.array([0.0]), np.array([1.0]))[0] == pytest.approx(-1.0)
-
-
-def test_ppr_delta_bounded_by_probed_lipschitz_constant():
-    fam = preset_family("curved")
-    radius = 2.0
-    probe = lipschitz_probe(fam, radius, n_samples=20_000, seed=0)
-    rng = np.random.default_rng(1)
-    for _ in range(1000):
-        theta = rng.uniform(-radius / 2, radius / 2, size=2)
-        dtheta = rng.uniform(-0.5, 0.5, size=2)
-        if np.linalg.norm(theta) > radius or np.linalg.norm(theta + dtheta) > radius:
-            continue
-        shift = np.linalg.norm(ppr_delta(fam, theta, dtheta))
-        assert shift <= probe * np.linalg.norm(dtheta) * 1.05 + 1e-12
-
-
-def test_lipschitz_probe_gradient_bound():
-    # |dV/dtheta| = 2|theta| <= 2r inside the ball.
-    fam = one_dim_family()
-    for radius in (0.5, 1.0, 3.0):
-        probe = lipschitz_probe(fam, radius, n_samples=5000, seed=2)
-        assert probe <= 2 * radius + 1e-9
-
-
-def test_lipschitz_probe_monotone_in_radius():
-    fam = preset_family("curved")
-    probes = [lipschitz_probe(fam, r, n_samples=4000, seed=3) for r in (0.5, 1.0, 2.0, 4.0)]
-    assert all(a <= b + 1e-12 for a, b in zip(probes, probes[1:]))
 
 
 def test_constant_difference_component():
