@@ -36,6 +36,10 @@ from .seeding import derive_seed
 
 # Singular-value ratio at or below which a direction matrix counts as rank deficient.
 RANK_RTOL = 1e-8
+# Policies per lockstep evaluation rollout; it bounds the stacked arrays'
+# memory. The stacked network pass makes one BLAS product per policy, so
+# the chunk size changes no result.
+EVAL_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -236,8 +240,9 @@ class BudgetLedger:
 class _Evaluator:
     """Counted, cached policy evaluation with one seed per evaluation grade.
 
-    Caching keys on the exact parameter bytes, so identical policies
-    always receive identical return vectors within a run.
+    Caching keys on a digest of the exact parameter bytes, so identical
+    policies always receive identical return vectors within a run, and
+    the cache holds 64 bytes per policy rather than a copy of it.
     """
 
     def __init__(self, env: VectorRewardEnv, ledger: BudgetLedger):
@@ -245,15 +250,38 @@ class _Evaluator:
         self.ledger = ledger
         self._cache: dict[tuple[bytes, int, int], ReturnVector] = {}
 
-    def evaluate(self, theta: ParameterVector, episodes: int, seed: int) -> ReturnVector:
-        key = (theta.data.tobytes(), episodes, seed)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        result = evaluate_returns(theta, self.env, episodes, seed, deterministic=True)
-        self.ledger.eval_steps += episodes * self.env.spec.horizon
-        self._cache[key] = result
-        return result
+    def evaluate_many(
+        self, thetas: list[ParameterVector], episodes: int, seed: int
+    ) -> list[ReturnVector]:
+        """Returns of each policy, in input order.
+
+        Cache hits are served as they are; each distinct miss is
+        evaluated once, in lockstep chunks of EVAL_CHUNK policies, and
+        charged to the ledger once.
+        """
+        # Imported here: hashlib loads OpenSSL, about 5 ms that a process
+        # running no pipeline (the other CLI commands) need not pay.
+        import hashlib
+
+        keys = [(hashlib.blake2b(np.ascontiguousarray(t.data)).digest(), episodes, seed) for t in thetas]
+        # One entry per distinct miss, in first-seen order.
+        pending = list({k: t for k, t in zip(keys, thetas) if k not in self._cache}.items())
+        for start in range(0, len(pending), EVAL_CHUNK):
+            chunk = pending[start : start + EVAL_CHUNK]
+            results = evaluate_returns([t for _, t in chunk], self.env, episodes, seed)
+            for (key, _), result in zip(chunk, results):
+                self._cache[key] = result
+        self.ledger.eval_steps += len(pending) * episodes * self.env.spec.horizon
+        return [self._cache[key] for key in keys]
+
+
+def _evaluate_into(
+    candidates: list[CandidatePolicy], evaluator: _Evaluator, episodes: int, seed: int
+) -> None:
+    """Set each candidate's returns from one batched evaluation."""
+    returns = evaluator.evaluate_many([c.theta for c in candidates], episodes, seed)
+    for cand, r in zip(candidates, returns):
+        cand.returns = r
 
 
 @contextlib.contextmanager
@@ -294,7 +322,6 @@ def directional_retrain(
     evaluator = evaluator if evaluator is not None else _Evaluator(env, ledger)
     final_seed = derive_seed(seed_root, "eval.final")
     dirs = DirectionSet(base_theta=base_theta, base_w=base_w, deltas=[], weight_deltas=[], retrained_thetas=[])
-    dirs.base_returns = evaluator.evaluate(base_theta, cfg.final_eval_episodes, final_seed)
     for i in range(1, d):
         shifted = shift_weight(base_w, i, cfg.delta_s)
         with _train_log(log_dir, f"retrain_{base_index}_{i}") as log:
@@ -311,8 +338,10 @@ def directional_retrain(
         dirs.retrained_thetas.append(retrained)
         dirs.deltas.append(ParameterVector(retrained.data - base_theta.data, base_theta.layout))
         dirs.weight_deltas.append(shifted - base_w)
-        r = evaluator.evaluate(retrained, cfg.final_eval_episodes, final_seed)
-        dirs.retrained_returns.append(r)
+    dirs.base_returns, *dirs.retrained_returns = evaluator.evaluate_many(
+        [base_theta, *dirs.retrained_thetas], cfg.final_eval_episodes, final_seed
+    )
+    for i, r in enumerate(dirs.retrained_returns, start=1):
         incomparable = not dominates(dirs.base_returns.values, r.values) and not dominates(
             r.values, dirs.base_returns.values
         )
@@ -372,9 +401,9 @@ def extend(
             stage="extended",
             policy_id=next_id,
         )
-        cand.returns = evaluator.evaluate(theta, cfg.eval_episodes, eval_seed)
         candidates.append(cand)
         next_id += 1
+    _evaluate_into(candidates, evaluator, cfg.eval_episodes, eval_seed)
     return candidates
 
 
@@ -444,9 +473,9 @@ def fine_tune(
             stage="fine_tuned",
             policy_id=next_id,
         )
-        tuned.returns = evaluator.evaluate(theta, cfg.eval_episodes, eval_seed)
         out.append(tuned)
         next_id += 1
+    _evaluate_into(out, evaluator, cfg.eval_episodes, eval_seed)
     return out
 
 
@@ -566,8 +595,8 @@ def run_pipeline(
             stage="extended",
             policy_id=k,
         )
-        cand.returns = evaluator.evaluate(cand.theta, cfg.eval_episodes, select_seed)
         bases.append(cand)
+    _evaluate_into(bases, evaluator, cfg.eval_episodes, select_seed)
 
     # Stage 3: training-free extension.
     candidates = []
@@ -591,11 +620,8 @@ def run_pipeline(
 
     # Final-grade re-evaluation of everything entering the archive pool.
     pool = bases + selected + fine_tuned
-    final_values: dict[int, np.ndarray] = {}
-    for cand in pool:
-        final_values[cand.policy_id] = evaluator.evaluate(
-            cand.theta, cfg.final_eval_episodes, final_seed
-        ).values
+    final_returns = evaluator.evaluate_many([c.theta for c in pool], cfg.final_eval_episodes, final_seed)
+    final_values = {c.policy_id: r.values for c, r in zip(pool, final_returns)}
 
     base_archive = non_dominated_filter(
         [FrontPoint(final_values[c.policy_id], c.policy_id, c.stage) for c in bases]

@@ -26,6 +26,8 @@ import numpy as np
 
 # Distance of the default reference point below the worst evaluated return.
 REF_POINT_MARGIN = 1.0
+# Sorted rows non_dominated_filter decides per array step.
+FILTER_BLOCK = 256
 
 
 @dataclass
@@ -70,12 +72,23 @@ def dominates(a: np.ndarray, b: np.ndarray) -> bool:
     return bool(np.all(a >= b) and np.any(a > b))
 
 
+def _weakly_above(upper: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(len(rows), len(upper)) mask: upper[j] >= rows[i] in every objective."""
+    mask = upper[None, :, 0] >= rows[:, None, 0]
+    for k in range(1, rows.shape[1]):
+        mask &= upper[None, :, k] >= rows[:, None, k]
+    return mask
+
+
 def non_dominated_filter(points: Sequence[FrontPoint]) -> ParetoArchive:
     """Keep exactly the points dominated by no other input point.
 
     Duplicate return vectors collapse to the representative with the
-    lowest policy_id. Points are pre-sorted lexicographically descending
-    so each survivor only needs checking against previous survivors.
+    lowest policy_id. The rest are sorted lexicographically descending,
+    the order of the output, so a point can only be dominated by one
+    before it. Rows are then decided FILTER_BLOCK at a time against the
+    survivors so far and the earlier rows of their own block (a row
+    dominated by a dropped row is also dominated by a survivor).
     """
     if not points:
         raise ValueError("cannot filter an empty point set")
@@ -91,14 +104,22 @@ def non_dominated_filter(points: Sequence[FrontPoint]) -> ParetoArchive:
         if kept is None or p.policy_id < kept.policy_id:
             by_returns[key] = p
     unique = list(by_returns.values())
+    matrix = np.stack([p.returns for p in unique])
+    # lexsort's primary key is its last one.
+    order = np.lexsort(-matrix.T[::-1])
+    rows = matrix[order]
 
-    order = sorted(range(len(unique)), key=lambda i: tuple(-unique[i].returns))
-    kept_points: list[FrontPoint] = []
-    for i in order:
-        cand = unique[i]
-        if not any(dominates(k.returns, cand.returns) for k in kept_points):
-            kept_points.append(cand)
-    return ParetoArchive(points=kept_points, d=d)
+    survivors = np.zeros(len(unique), dtype=bool)
+    earlier_in_block = np.tri(FILTER_BLOCK, k=-1, dtype=bool)
+    for start in range(0, len(rows), FILTER_BLOCK):
+        block = rows[start : start + FILTER_BLOCK]
+        n = len(block)
+        # Rows are distinct, so an earlier row weakly above a row in
+        # every objective dominates it.
+        above_survivor = _weakly_above(rows[survivors], block).any(axis=1)
+        above_earlier = (_weakly_above(block, block) & earlier_in_block[:n, :n]).any(axis=1)
+        survivors[start : start + n] = ~(above_survivor | above_earlier)
+    return ParetoArchive(points=[unique[i] for i in order[survivors]], d=d)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -307,31 +308,50 @@ class ReturnVector:
 
 
 def evaluate_returns(
-    theta: ParameterVector,
+    theta: ParameterVector | Sequence[ParameterVector],
     env: VectorRewardEnv,
     episodes: int,
     seed: int,
     deterministic: bool = True,
-) -> ReturnVector:
+) -> ReturnVector | list[ReturnVector]:
     """Mean undiscounted episodic return vector over a bank of rollouts.
 
     Episodes run in lockstep (the environments are fixed-horizon), so the
     whole evaluation is `horizon` batched network passes regardless of the
     episode count. deterministic=True plays the policy mean.
+
+    A sequence of C policies (one layout) is evaluated in the same loop:
+    their actor blocks are stacked into (C, in, out) weights, so each
+    network pass is one stacked product whose slices round like the
+    single-policy product, and all C * episodes rows step together. Every
+    policy sees the same initial states and action noise as it would
+    alone, so the list equals a per-policy loop element for element.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    policy = GaussianPolicy.from_vector(theta)
+    single = isinstance(theta, ParameterVector)
+    thetas = [theta] if single else list(theta)
+    n = len(thetas)
+    spec = thetas[0].layout.specs[0]
+    mean_net = Mlp(
+        spec,
+        [np.stack([t.block(f"actor.W{i}") for t in thetas]) for i in range(spec.n_layers)],
+        [np.stack([t.block(f"actor.b{i}") for t in thetas])[:, None, :] for i in range(spec.n_layers)],
+    )
+    std = np.exp(np.stack([t.block("actor.log_std") for t in thetas]))[:, None, :]
     rng = np.random.default_rng(seed)
-    obs = env.reset_batch(episodes, rng)
-    totals = np.zeros((episodes, env.spec.d))
-    std = np.exp(policy.log_std)
+    obs = np.tile(env.reset_batch(episodes, rng), (n, 1))
+    totals = np.zeros((n * episodes, env.spec.d))
     for _ in range(env.spec.horizon):
-        means = policy.mean_net.forward(obs)
+        means = mean_net.forward(obs.reshape(n, episodes, -1))
         if deterministic:
             actions = means
         else:
-            actions = means + std * rng.standard_normal(means.shape)
-        obs, rewards = env.step_batch(obs, actions)
+            actions = means + std * rng.standard_normal(means.shape[1:])
+        obs, rewards = env.step_batch(obs, actions.reshape(n * episodes, -1))
         totals += rewards
-    return ReturnVector(values=totals.mean(axis=0), episodes_averaged=episodes)
+    results = [
+        ReturnVector(values=block.mean(axis=0), episodes_averaged=episodes)
+        for block in np.split(totals, n)
+    ]
+    return results[0] if single else results

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from morlext import extension
 from morlext.envs import DualGoal
 from morlext.extension import (
+    EVAL_CHUNK,
     BudgetLedger,
     LleConfig,
     _Evaluator,
@@ -17,6 +19,7 @@ from morlext.extension import (
     shift_weight,
 )
 from morlext.pareto import dominates, hypervolume
+from morlext.policy import evaluate_returns
 from morlext.ppo import PpoConfig, init_actor_critic
 from morlext.seeding import derive_seed
 
@@ -246,6 +249,59 @@ def test_fine_tune_trains_under_matched_weight(small_run):
     )
     assert ledger.finetune_steps - before == 2 * ppo_cfg.steps_per_batch
     assert all(not np.array_equal(t.theta.data, c.theta.data) for t, c in zip(tuned, cands))
+
+
+# ---------------------------------------------------------------------------
+# Batched, cached evaluation
+
+
+def varied_thetas(env, n, seed=0):
+    rng = np.random.default_rng(seed)
+    thetas = []
+    for k in range(n):
+        theta = init_actor_critic(env, seed=seed + k, hidden=(8, 8))
+        theta.data += 0.3 * rng.standard_normal(theta.data.shape)
+        thetas.append(theta)
+    return thetas
+
+
+def test_evaluate_many_matches_per_policy_calls_across_chunks():
+    env = DualGoal()
+    thetas = varied_thetas(env, 2 * EVAL_CHUNK + 2)
+    got = _Evaluator(env, BudgetLedger()).evaluate_many(thetas, 8, seed=13)
+    for theta, r in zip(thetas, got):
+        assert np.array_equal(r.values, evaluate_returns(theta, env, 8, seed=13).values)
+
+
+def test_evaluate_many_returns_input_order():
+    env = DualGoal()
+    a, b, c = varied_thetas(env, 3, seed=40)
+    forward = _Evaluator(env, BudgetLedger()).evaluate_many([a, b, c], 4, seed=2)
+    backward = _Evaluator(env, BudgetLedger()).evaluate_many([c, a, b], 4, seed=2)
+    for got, want in zip(backward, [forward[2], forward[0], forward[1]]):
+        assert np.array_equal(got.values, want.values)
+    assert not np.array_equal(forward[0].values, forward[1].values)
+
+
+def test_evaluate_many_evaluates_a_repeated_theta_once(monkeypatch):
+    env = DualGoal()
+    a, b = varied_thetas(env, 2, seed=50)
+    evaluated = []
+
+    def counting(thetas, *args, **kwargs):
+        evaluated.extend(thetas)
+        return evaluate_returns(thetas, *args, **kwargs)
+
+    monkeypatch.setattr(extension, "evaluate_returns", counting)
+    ledger = BudgetLedger()
+    evaluator = _Evaluator(env, ledger)
+    got = evaluator.evaluate_many([a, b, a.copy(), a], 4, seed=3)
+    assert len(evaluated) == 2
+    assert ledger.eval_steps == 2 * 4 * env.spec.horizon
+    assert got[0] is got[2] is got[3]
+    evaluator.evaluate_many([b, a], 4, seed=3)
+    assert len(evaluated) == 2
+    assert ledger.eval_steps == 2 * 4 * env.spec.horizon
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morlext.pareto import (
+    FILTER_BLOCK,
     FrontPoint,
     ParetoArchive,
     default_reference_point,
@@ -107,6 +108,64 @@ def test_filter_idempotent():
     once = non_dominated_filter(archive_of(rows))
     twice = non_dominated_filter(once.points)
     assert {tuple(p.returns) for p in once.points} == {tuple(p.returns) for p in twice.points}
+
+
+def sequential_filter(points):
+    """Reference: duplicates collapse to the lowest policy_id, then each
+    point in lexicographically descending order is kept unless an earlier
+    survivor dominates it."""
+    by_returns = {}
+    for p in points:
+        key = tuple(p.returns.tolist())
+        kept = by_returns.get(key)
+        if kept is None or p.policy_id < kept.policy_id:
+            by_returns[key] = p
+    unique = list(by_returns.values())
+    order = sorted(range(len(unique)), key=lambda i: tuple(-unique[i].returns))
+    kept_points = []
+    for i in order:
+        if not any(dominates(k.returns, unique[i].returns) for k in kept_points):
+            kept_points.append(unique[i])
+    return kept_points
+
+
+def assert_same_points(got, want):
+    assert [p.policy_id for p in got] == [p.policy_id for p in want]
+    assert [p.returns.tobytes() for p in got] == [p.returns.tobytes() for p in want]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 40, FILTER_BLOCK, FILTER_BLOCK + 1, 3 * FILTER_BLOCK + 17])
+@pytest.mark.parametrize("id_kind", ["int", "str"])
+def test_filter_matches_sequential_reference(d, n, id_kind):
+    rng = np.random.default_rng([d, n])
+    for decimals in (0, 1, 3):
+        # Few distinct values per objective: duplicates and ties on
+        # single objectives are common.
+        rows = np.round(rng.normal(size=(n, d)), decimals)
+        perm = rng.permutation(n)
+        ids = [int(i) for i in perm] if id_kind == "int" else [f"p{i}" for i in perm]
+        points = archive_of(rows, ids)
+        archive = non_dominated_filter(points)
+        assert archive.d == d
+        assert_same_points(archive.points, sequential_filter(points))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_filter_keeps_an_all_front_set_in_reference_order(d):
+    rng = np.random.default_rng(d)
+    x = np.abs(rng.standard_normal((2 * FILTER_BLOCK + 5, d)))
+    rows = x / np.linalg.norm(x, axis=1, keepdims=True)
+    points = archive_of(rows, [f"p{i}" for i in range(len(rows))])
+    archive = non_dominated_filter(points)
+    assert len(archive) == len(rows)
+    assert_same_points(archive.points, sequential_filter(points))
+
+
+def test_filter_single_point_is_itself():
+    points = archive_of([[0.5, -2.0, 1.0]], ids=[7])
+    archive = non_dominated_filter(points)
+    assert_same_points(archive.points, points)
 
 
 # ---------------------------------------------------------------------------

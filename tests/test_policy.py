@@ -122,3 +122,55 @@ def test_actor_from_vector_matches_unflatten():
     obs = np.random.default_rng(0).normal(size=(3, 4))
     full = unflatten(theta)
     assert np.array_equal(actor.mean_net.forward(obs), full.policy.mean_net.forward(obs))
+
+
+def per_policy_returns(theta, env, episodes, seed, deterministic=True):
+    """Reference: one policy at a time, a 2-D network pass per step."""
+    policy = GaussianPolicy.from_vector(theta)
+    rng = np.random.default_rng(seed)
+    obs = env.reset_batch(episodes, rng)
+    totals = np.zeros((episodes, env.spec.d))
+    std = np.exp(policy.log_std)
+    for _ in range(env.spec.horizon):
+        means = policy.mean_net.forward(obs)
+        actions = means if deterministic else means + std * rng.standard_normal(means.shape)
+        obs, rewards = env.step_batch(obs, actions)
+        totals += rewards
+    return totals.mean(axis=0)
+
+
+def perturbed_policies(env, n, seed=0):
+    """n default-shape actor-critics with weights large enough to act."""
+    rng = np.random.default_rng(seed)
+    actor_spec, critic_spec = default_specs(env.spec.obs_dim, env.spec.act_dim)
+    thetas = []
+    for _ in range(n):
+        theta = flatten(ActorCritic.init(actor_spec, critic_spec, rng))
+        theta.data += 0.3 * rng.standard_normal(theta.data.shape)
+        thetas.append(theta)
+    return thetas
+
+
+@pytest.mark.parametrize("env_cls", [DualGoal, SpeedEnergy])
+@pytest.mark.parametrize("episodes", [8, 32])
+def test_batched_evaluation_equals_per_policy_loop(env_cls, episodes):
+    env = env_cls()
+    thetas = perturbed_policies(env, 130)
+    batched = evaluate_returns(thetas, env, episodes, seed=17)
+    assert len(batched) == len(thetas)
+    for theta, got in zip(thetas, batched):
+        assert np.array_equal(got.values, per_policy_returns(theta, env, episodes, 17))
+        assert got.episodes_averaged == episodes
+    single = evaluate_returns(thetas[5], env, episodes, seed=17)
+    assert np.array_equal(single.values, batched[5].values)
+
+
+@pytest.mark.parametrize("env_cls", [DualGoal, SpeedEnergy])
+def test_stochastic_evaluation_unchanged_and_shared_by_a_batch(env_cls):
+    env = env_cls()
+    thetas = perturbed_policies(env, 3, seed=4)
+    single = evaluate_returns(thetas[0], env, 8, seed=23, deterministic=False)
+    assert np.array_equal(single.values, per_policy_returns(thetas[0], env, 8, 23, deterministic=False))
+    batched = evaluate_returns(thetas, env, 8, seed=23, deterministic=False)
+    for theta, got in zip(thetas, batched):
+        assert np.array_equal(got.values, per_policy_returns(theta, env, 8, 23, deterministic=False))
