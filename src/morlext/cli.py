@@ -157,18 +157,17 @@ def _write_run_artifacts(out_dir: Path, config: dict, result: PipelineResult, wa
 
     policies_dir = out_dir / "policies"
     save_archive(policies_dir / "bases.jsonl", _candidate_records(result.bases, result.final_values))
-    save_archive(policies_dir / "selected.jsonl", _candidate_records(result.selected, result.final_values))
     save_archive(
         policies_dir / "fine_tuned.jsonl", _candidate_records(result.fine_tuned, result.final_values)
     )
     direction_records = []
-    for k, dirs in enumerate(result.directions):
+    for dirs in result.directions:
         for i, (theta, dw) in enumerate(zip(dirs.retrained_thetas, dirs.weight_deltas)):
             direction_records.append(
                 ArchiveRecord(
                     theta=theta,
                     meta={
-                        "base_index": k,
+                        "base_index": dirs.base_index,
                         "direction_index": i + 1,
                         "weight_delta": dw.tolist(),
                         "mutually_non_dominated": bool(dirs.mutual_non_dominated[i]),
@@ -179,6 +178,12 @@ def _write_run_artifacts(out_dir: Path, config: dict, result: PipelineResult, wa
     save_archive(policies_dir / "directions.jsonl", direction_records)
     final_members = [result.policies_by_id[p.policy_id] for p in result.archive.points]
     save_archive(policies_dir / "final.jsonl", _candidate_records(final_members, result.final_values))
+    # Each policy is stored once: selected.jsonl holds the survivors final.jsonl does not.
+    final_ids = {p.policy_id for p in result.archive.points}
+    save_archive(
+        policies_dir / "selected.jsonl",
+        _candidate_records([c for c in result.selected if c.policy_id not in final_ids], result.final_values),
+    )
 
     with open(out_dir / "candidates.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -15,6 +15,14 @@ The interaction budget is split 3:1:1 over the three training stages
 (the extension stage trains nothing), divided evenly over each stage's
 runs at whole-batch granularity; every environment step, including
 evaluation rollouts, is tallied in a ledger.
+
+Every training run of every stage goes through one runner with one
+divergence rule: a run whose loss goes non-finite is warned about and
+dropped, together with everything built from it (a base's directions
+and grid, a retrain's grid, a fine-tune's output), and the run fails
+only when fewer than two bases train. Evaluation is a pure function of
+(theta, episodes, seed), so identical policies get identical returns
+without a cache.
 """
 
 from __future__ import annotations
@@ -65,6 +73,10 @@ class LleConfig:
             raise ValueError("alpha_start must be below alpha_end")
         if self.delta_alpha <= 0:
             raise ValueError("delta_alpha must be positive")
+        if self.eval_episodes < 1:
+            raise ValueError("eval_episodes must be >= 1")
+        if self.final_eval_episodes < 1:
+            raise ValueError("final_eval_episodes must be >= 1")
 
 
 def alpha_grid(alpha_start: float, alpha_end: float, delta_alpha: float) -> np.ndarray:
@@ -158,6 +170,7 @@ def clip_to_simplex(raw: np.ndarray) -> np.ndarray:
 class DirectionSet:
     """Local extension directions for one base policy."""
 
+    base_index: int
     base_theta: ParameterVector
     base_w: np.ndarray
     deltas: list[ParameterVector]
@@ -237,61 +250,59 @@ class BudgetLedger:
         }
 
 
-class _Evaluator:
-    """Counted, cached policy evaluation with one seed per evaluation grade.
-
-    Caching keys on a digest of the exact parameter bytes, so identical
-    policies always receive identical return vectors within a run, and
-    the cache holds 64 bytes per policy rather than a copy of it.
-    """
-
-    def __init__(self, env: VectorRewardEnv, ledger: BudgetLedger):
-        self.env = env
-        self.ledger = ledger
-        self._cache: dict[tuple[bytes, int, int], ReturnVector] = {}
-
-    def evaluate_many(
-        self, thetas: list[ParameterVector], episodes: int, seed: int
-    ) -> list[ReturnVector]:
-        """Returns of each policy, in input order.
-
-        Cache hits are served as they are; each distinct miss is
-        evaluated once, in lockstep chunks of EVAL_CHUNK policies, and
-        charged to the ledger once.
-        """
-        # Imported here: hashlib loads OpenSSL, about 5 ms that a process
-        # running no pipeline (the other CLI commands) need not pay.
-        import hashlib
-
-        keys = [(hashlib.blake2b(np.ascontiguousarray(t.data)).digest(), episodes, seed) for t in thetas]
-        # One entry per distinct miss, in first-seen order.
-        pending = list({k: t for k, t in zip(keys, thetas) if k not in self._cache}.items())
-        for start in range(0, len(pending), EVAL_CHUNK):
-            chunk = pending[start : start + EVAL_CHUNK]
-            results = evaluate_returns([t for _, t in chunk], self.env, episodes, seed)
-            for (key, _), result in zip(chunk, results):
-                self._cache[key] = result
-        self.ledger.eval_steps += len(pending) * episodes * self.env.spec.horizon
-        return [self._cache[key] for key in keys]
+def _evaluate(
+    thetas: list[ParameterVector], env: VectorRewardEnv, episodes: int, seed: int, ledger: BudgetLedger
+) -> list[ReturnVector]:
+    """Returns of each policy, in input order, from lockstep rollouts of
+    EVAL_CHUNK policies at a time; every policy is charged to the ledger."""
+    returns = []
+    for start in range(0, len(thetas), EVAL_CHUNK):
+        returns.extend(evaluate_returns(thetas[start : start + EVAL_CHUNK], env, episodes, seed))
+    ledger.eval_steps += len(thetas) * episodes * env.spec.horizon
+    return returns
 
 
 def _evaluate_into(
-    candidates: list[CandidatePolicy], evaluator: _Evaluator, episodes: int, seed: int
+    candidates: list[CandidatePolicy], env: VectorRewardEnv, episodes: int, seed: int, ledger: BudgetLedger
 ) -> None:
     """Set each candidate's returns from one batched evaluation."""
-    returns = evaluator.evaluate_many([c.theta for c in candidates], episodes, seed)
-    for cand, r in zip(candidates, returns):
+    for cand, r in zip(candidates, _evaluate([c.theta for c in candidates], env, episodes, seed, ledger)):
         cand.returns = r
 
 
-@contextlib.contextmanager
-def _train_log(log_dir: Path | None, name: str):
-    if log_dir is None:
-        yield None
-        return
-    log_dir.mkdir(parents=True, exist_ok=True)
-    with open(log_dir / f"{name}.log", "w") as fh:
-        yield fh
+@dataclass(frozen=True)
+class _Job:
+    """One scalarized training run: start vector, weight, step budget, seed, log name."""
+
+    theta: ParameterVector
+    weight: np.ndarray
+    steps: int
+    seed: int
+    name: str
+
+
+def _train_all(
+    jobs: list[_Job], env: VectorRewardEnv, ppo_cfg: PpoConfig, log_dir: Path | None
+) -> tuple[list[ParameterVector | None], int]:
+    """Train the jobs in order.
+
+    Returns the trained vectors in job order, with None for each job whose
+    loss went non-finite (warned about once and dropped), and the
+    environment steps taken by the runs that completed.
+    """
+    if jobs and log_dir is not None:
+        log_dir.mkdir(parents=True, exist_ok=True)
+    trained, taken = [], 0
+    for job in jobs:
+        try:
+            with open(log_dir / f"{job.name}.log", "w") if log_dir else contextlib.nullcontext() as log:
+                trained.append(train(job.theta, env, job.weight, job.steps, ppo_cfg, job.seed, log))
+        except DivergenceError as err:
+            warnings.warn(f"training run {job.name} diverged and is dropped: {err}", stacklevel=2)
+            trained.append(None)
+            continue
+        taken += steps_taken(job.steps, ppo_cfg)
+    return trained, taken
 
 
 def directional_retrain(
@@ -300,46 +311,41 @@ def directional_retrain(
     env: VectorRewardEnv,
     cfg: LleConfig,
     ppo_cfg: PpoConfig,
-    t_dir: int | list[int],
-    seed_root: int,
+    t_dir: list[int],
     base_index: int,
-    evaluator: _Evaluator | None = None,
-    ledger: BudgetLedger | None = None,
+    ledger: BudgetLedger,
     log_dir: Path | None = None,
-) -> DirectionSet:
+) -> DirectionSet | None:
     """Estimate d-1 local directions by brief retraining at shifted weights.
 
     The base and each retrained policy are checked for mutual
     non-dominance at final evaluation grade; a violation or a rank
     deficient direction matrix is flagged, never raised, so degenerate
-    runs still complete with whatever directions they found.
+    runs still complete with whatever directions they found. If a
+    retraining run diverges there are no directions: returns None.
     """
     d = env.spec.d
-    t_dirs = [t_dir] * (d - 1) if isinstance(t_dir, int) else list(t_dir)
-    if len(t_dirs) != d - 1:
+    if len(t_dir) != d - 1:
         raise ValueError(f"need one retraining budget per direction ({d - 1})")
-    ledger = ledger if ledger is not None else BudgetLedger()
-    evaluator = evaluator if evaluator is not None else _Evaluator(env, ledger)
-    final_seed = derive_seed(seed_root, "eval.final")
-    dirs = DirectionSet(base_theta=base_theta, base_w=base_w, deltas=[], weight_deltas=[], retrained_thetas=[])
-    for i in range(1, d):
-        shifted = shift_weight(base_w, i, cfg.delta_s)
-        with _train_log(log_dir, f"retrain_{base_index}_{i}") as log:
-            retrained = train(
-                base_theta,
-                env,
-                shifted,
-                t_dirs[i - 1],
-                ppo_cfg,
-                seed=derive_seed(seed_root, "retrain", base_index, i),
-                log_stream=log,
-            )
-        ledger.retrain_steps += steps_taken(t_dirs[i - 1], ppo_cfg)
-        dirs.retrained_thetas.append(retrained)
-        dirs.deltas.append(ParameterVector(retrained.data - base_theta.data, base_theta.layout))
-        dirs.weight_deltas.append(shifted - base_w)
-    dirs.base_returns, *dirs.retrained_returns = evaluator.evaluate_many(
-        [base_theta, *dirs.retrained_thetas], cfg.final_eval_episodes, final_seed
+    shifted = [shift_weight(base_w, i, cfg.delta_s) for i in range(1, d)]
+    jobs = [
+        _Job(base_theta, w, steps, derive_seed(cfg.seed, "retrain", base_index, i), f"retrain_{base_index}_{i}")
+        for i, (w, steps) in enumerate(zip(shifted, t_dir), start=1)
+    ]
+    retrained, taken = _train_all(jobs, env, ppo_cfg, log_dir)
+    ledger.retrain_steps += taken
+    if None in retrained:
+        return None
+    dirs = DirectionSet(
+        base_index=base_index,
+        base_theta=base_theta,
+        base_w=base_w,
+        deltas=[ParameterVector(r.data - base_theta.data, base_theta.layout) for r in retrained],
+        weight_deltas=[w - base_w for w in shifted],
+        retrained_thetas=retrained,
+    )
+    dirs.base_returns, *dirs.retrained_returns = _evaluate(
+        [base_theta, *retrained], env, cfg.final_eval_episodes, derive_seed(cfg.seed, "eval.final"), ledger
     )
     for i, r in enumerate(dirs.retrained_returns, start=1):
         incomparable = not dominates(dirs.base_returns.values, r.values) and not dominates(
@@ -362,10 +368,9 @@ def extend(
     dirs: DirectionSet,
     cfg: LleConfig,
     env: VectorRewardEnv,
-    base_index: int,
     id_start: int,
-    evaluator: _Evaluator,
     eval_seed: int,
+    ledger: BudgetLedger,
 ) -> list[CandidatePolicy]:
     """Enumerate and evaluate the full coefficient grid for one base.
 
@@ -396,14 +401,14 @@ def extend(
             theta=theta,
             matched_w=clip_to_simplex(raw_w),
             raw_w=raw_w,
-            base_index=base_index,
+            base_index=dirs.base_index,
             alphas=tuple(float(a) for a in alphas),
             stage="extended",
             policy_id=next_id,
         )
         candidates.append(cand)
         next_id += 1
-    _evaluate_into(candidates, evaluator, cfg.eval_episodes, eval_seed)
+    _evaluate_into(candidates, env, cfg.eval_episodes, eval_seed, ledger)
     return candidates
 
 
@@ -427,55 +432,45 @@ def fine_tune(
     cfg: LleConfig,
     ppo_cfg: PpoConfig,
     budgets: list[int],
-    seed_root: int,
     id_start: int,
-    evaluator: _Evaluator,
     eval_seed: int,
     ledger: BudgetLedger,
     log_dir: Path | None = None,
 ) -> list[CandidatePolicy]:
     """Brief preference-aligned training of each selected candidate.
 
-    Inputs are never mutated; each output carries stage "fine_tuned" and
-    fresh returns. Only candidates with a budget of at least one batch are
-    trained: one with less would take no step and only copy its input, so
-    it gets no output, log or ledger steps. A diverging candidate is
-    reported and skipped without aborting the rest of the batch.
+    Inputs are never mutated; each output carries stage "fine_tuned",
+    fresh returns, and the next id from `id_start`. Only candidates with a
+    budget of at least one batch are trained: one with less would take no
+    step and only copy its input, so it gets no output, log or ledger
+    steps. A candidate whose run diverges gets no output either, and its
+    steps are not charged; the other candidates are unaffected.
     """
     if len(budgets) != len(selected):
         raise ValueError("need one budget per selected candidate")
+    funded = [(c, steps) for c, steps in zip(selected, budgets) if steps >= ppo_cfg.steps_per_batch]
+    jobs = [
+        _Job(c.theta, c.matched_w, steps, derive_seed(cfg.seed, "finetune", c.policy_id), f"finetune_{c.policy_id}")
+        for c, steps in funded
+    ]
+    thetas, taken = _train_all(jobs, env, ppo_cfg, log_dir)
+    ledger.finetune_steps += taken
     out = []
-    next_id = id_start
-    for cand, steps in zip(selected, budgets):
-        if steps < ppo_cfg.steps_per_batch:
+    for (cand, _), theta in zip(funded, thetas):
+        if theta is None:
             continue
-        try:
-            with _train_log(log_dir, f"finetune_{cand.policy_id}") as log:
-                theta = train(
-                    cand.theta,
-                    env,
-                    cand.matched_w,
-                    steps,
-                    ppo_cfg,
-                    seed=derive_seed(seed_root, "finetune", cand.policy_id),
-                    log_stream=log,
-                )
-        except DivergenceError as err:
-            warnings.warn(f"fine-tuning candidate {cand.policy_id} diverged: {err}", stacklevel=2)
-            continue
-        ledger.finetune_steps += steps_taken(steps, ppo_cfg)
-        tuned = CandidatePolicy(
-            theta=theta,
-            matched_w=cand.matched_w.copy(),
-            raw_w=cand.raw_w.copy(),
-            base_index=cand.base_index,
-            alphas=cand.alphas,
-            stage="fine_tuned",
-            policy_id=next_id,
+        out.append(
+            CandidatePolicy(
+                theta=theta,
+                matched_w=cand.matched_w.copy(),
+                raw_w=cand.raw_w.copy(),
+                base_index=cand.base_index,
+                alphas=cand.alphas,
+                stage="fine_tuned",
+                policy_id=id_start + len(out),
+            )
         )
-        out.append(tuned)
-        next_id += 1
-    _evaluate_into(out, evaluator, cfg.eval_episodes, eval_seed)
+    _evaluate_into(out, env, cfg.eval_episodes, eval_seed, ledger)
     return out
 
 
@@ -539,55 +534,33 @@ def run_pipeline(
     """
     d = env.spec.d
     m = d - 1
-    seed_root = cfg.seed
     log_dir = Path(log_dir) if log_dir is not None else None
     ledger = BudgetLedger(total_budget=int(total_budget))
-    evaluator = _Evaluator(env, ledger)
     batch = ppo_cfg.steps_per_batch
 
     init_budgets = _batch_for_each_run(3 * total_budget // 5, cfg.K, batch, "bases")
     dir_budgets = _batch_for_each_run(total_budget // 5, cfg.K * m, batch, "direction runs")
 
     weights = make_base_weights(cfg.K, d)
-    select_seed = derive_seed(seed_root, "eval.select")
-    final_seed = derive_seed(seed_root, "eval.final")
+    select_seed = derive_seed(cfg.seed, "eval.select")
+    final_seed = derive_seed(cfg.seed, "eval.final")
 
-    # Stage 1: base policies.
-    base_thetas = []
-    for k, w in enumerate(weights):
-        theta0 = init_actor_critic(env, derive_seed(seed_root, "net", k))
-        with _train_log(log_dir, f"init_{k}") as log:
-            theta = train(
-                theta0, env, w, init_budgets[k], ppo_cfg,
-                seed=derive_seed(seed_root, "init", k), log_stream=log,
-            )
-        ledger.init_steps += steps_taken(init_budgets[k], ppo_cfg)
-        base_thetas.append(theta)
+    # Stage 1: base policies; a diverged base is dropped with all it would seed.
+    jobs = [
+        _Job(init_actor_critic(env, derive_seed(cfg.seed, "net", k)), w, init_budgets[k],
+             derive_seed(cfg.seed, "init", k), f"init_{k}")
+        for k, w in enumerate(weights)
+    ]
+    base_thetas, ledger.init_steps = _train_all(jobs, env, ppo_cfg, log_dir)
+    trained = [k for k, theta in enumerate(base_thetas) if theta is not None]
+    if len(trained) < 2:
+        raise DivergenceError(f"only {len(trained)} of {cfg.K} base policies trained; a front needs two")
 
-    # Stage 2: directions.
-    directions = []
-    for k, (theta, w) in enumerate(zip(base_thetas, weights)):
-        dirs = directional_retrain(
-            theta,
-            w,
-            env,
-            cfg,
-            ppo_cfg,
-            dir_budgets[k * m : (k + 1) * m],
-            seed_root,
-            k,
-            evaluator,
-            ledger,
-            log_dir,
-        )
-        directions.append(dirs)
-
-    # Base policies as zero-coefficient candidates (ids 0..K-1) so the
+    # Base policies as zero-coefficient candidates (id = base index) so the
     # final pool always contains them whatever the grid holds.
-    bases = []
-    for k, dirs in enumerate(directions):
-        cand = CandidatePolicy(
-            theta=dirs.base_theta,
+    bases = [
+        CandidatePolicy(
+            theta=base_thetas[k],
             matched_w=weights[k].copy(),
             raw_w=weights[k].copy(),
             base_index=k,
@@ -595,16 +568,27 @@ def run_pipeline(
             stage="extended",
             policy_id=k,
         )
-        bases.append(cand)
-    _evaluate_into(bases, evaluator, cfg.eval_episodes, select_seed)
+        for k in trained
+    ]
+
+    # Stage 2: directions; a base whose retraining diverged is not extended.
+    directions = []
+    for base in bases:
+        k = base.base_index
+        dirs = directional_retrain(
+            base.theta, weights[k], env, cfg, ppo_cfg, dir_budgets[k * m : (k + 1) * m], k, ledger, log_dir
+        )
+        if dirs is not None:
+            directions.append(dirs)
+    _evaluate_into(bases, env, cfg.eval_episodes, select_seed, ledger)
 
     # Stage 3: training-free extension.
     candidates = []
     next_id = cfg.K
-    for k, dirs in enumerate(directions):
+    for dirs in directions:
         if dirs.degenerate:
-            warnings.warn(f"extending base {k} along a degenerate direction set", stacklevel=2)
-        cands = extend(dirs, cfg, env, k, next_id, evaluator, select_seed)
+            warnings.warn(f"extending base {dirs.base_index} along a degenerate direction set", stacklevel=2)
+        cands = extend(dirs, cfg, env, next_id, select_seed, ledger)
         next_id += len(cands)
         candidates.extend(cands)
 
@@ -613,14 +597,11 @@ def run_pipeline(
 
     # Stage 5: preference-aligned fine-tuning.
     ft_budgets = _even_batch_split(total_budget // 5, len(selected), batch)
-    fine_tuned = fine_tune(
-        selected, env, cfg, ppo_cfg, ft_budgets, seed_root, next_id, evaluator, select_seed,
-        ledger, log_dir,
-    )
+    fine_tuned = fine_tune(selected, env, cfg, ppo_cfg, ft_budgets, next_id, select_seed, ledger, log_dir)
 
     # Final-grade re-evaluation of everything entering the archive pool.
     pool = bases + selected + fine_tuned
-    final_returns = evaluator.evaluate_many([c.theta for c in pool], cfg.final_eval_episodes, final_seed)
+    final_returns = _evaluate([c.theta for c in pool], env, cfg.final_eval_episodes, final_seed, ledger)
     final_values = {c.policy_id: r.values for c, r in zip(pool, final_returns)}
 
     base_archive = non_dominated_filter(

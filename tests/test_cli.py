@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import fields
 
@@ -50,6 +51,18 @@ def test_run_writes_all_artifact_kinds(run_dir):
         assert (policies / f"{name}.jsonl").is_file()
     assert (run_dir / "candidates.csv").is_file()
     assert any((run_dir / "train_logs").iterdir())
+
+
+def test_each_selected_policy_is_archived_once(run_dir):
+    def ids(name):
+        return {json.loads(line)["meta"]["policy_id"]
+                for line in (run_dir / "policies" / f"{name}.jsonl").read_text().splitlines()}
+
+    with open(run_dir / "candidates.csv", newline="") as fh:
+        selected = {int(row["policy_id"]) for row in csv.DictReader(fh) if row["selected"] == "1"}
+    assert not ids("selected") & ids("final")
+    assert selected <= ids("selected") | ids("final")
+    assert ids("selected") <= selected
 
 
 def test_metrics_json_consistent_with_front(run_dir):
@@ -193,15 +206,20 @@ def test_three_line_config_has_full_defaults(tmp_path):
     assert parsed["ppo"].gamma == 0.995
 
 
+INVALID_FIELDS = [
+    ("ppo", "steps_per_batch", "0"), ("ppo", "steps_per_batch", "-512"), ("ppo", "minibatches", "0"),
+    ("ppo", "learning_rate", "-1"), ("ppo", "learning_rate", "0"),
+    ("lle", "eval_episodes", "0"), ("lle", "final_eval_episodes", "0"),
+]
+
+
 @pytest.mark.parametrize(
-    "key, value",
-    [("steps_per_batch", "0"), ("steps_per_batch", "-512"), ("minibatches", "0"),
-     ("learning_rate", "-1"), ("learning_rate", "0")],
+    "section, key, value", INVALID_FIELDS, ids=[f"{key}-{value}" for _, key, value in INVALID_FIELDS]
 )
-def test_invalid_ppo_field_is_usage_error(tmp_path, capsys, key, value):
+def test_invalid_ppo_field_is_usage_error(tmp_path, capsys, section, key, value):
     config = tmp_path / "c.ini"
     config.write_text(
-        f"[run]\nenv = dual_goal\noutput_dir = {tmp_path / 'x'}\n[ppo]\n{key} = {value}\n"
+        f"[run]\nenv = dual_goal\noutput_dir = {tmp_path / 'x'}\n[{section}]\n{key} = {value}\n"
     )
     assert main(["run", "--config", str(config)]) == 1
     assert key in capsys.readouterr().err

@@ -1,13 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from morlext import extension
+from morlext.cli import main
 from morlext.envs import DualGoal
 from morlext.extension import (
     EVAL_CHUNK,
     BudgetLedger,
     LleConfig,
-    _Evaluator,
+    _evaluate,
     alpha_grid,
     clip_to_simplex,
     directional_retrain,
@@ -20,7 +23,7 @@ from morlext.extension import (
 )
 from morlext.pareto import dominates, hypervolume
 from morlext.policy import evaluate_returns
-from morlext.ppo import PpoConfig, init_actor_critic
+from morlext.ppo import DivergenceError, PpoConfig, init_actor_critic
 from morlext.seeding import derive_seed
 
 
@@ -138,15 +141,12 @@ def small_run():
     base_w = np.array([0.5, 0.5])
     theta = init_actor_critic(env, seed=derive_seed(0, "net", 0), hidden=(8, 8))
     ledger = BudgetLedger()
-    evaluator = _Evaluator(env, ledger)
-    dirs = directional_retrain(
-        theta, base_w, env, cfg, ppo_cfg, 2 * ppo_cfg.steps_per_batch, 0, 0, evaluator, ledger
-    )
-    return env, cfg, ppo_cfg, dirs, evaluator, ledger
+    dirs = directional_retrain(theta, base_w, env, cfg, ppo_cfg, [2 * ppo_cfg.steps_per_batch], 0, ledger)
+    return env, cfg, ppo_cfg, dirs, ledger
 
 
 def test_directional_retrain_counts(small_run):
-    env, cfg, ppo_cfg, dirs, evaluator, ledger = small_run
+    env, cfg, ppo_cfg, dirs, ledger = small_run
     assert dirs.m == env.spec.d - 1 == 1
     assert ledger.retrain_steps == 2 * ppo_cfg.steps_per_batch
     assert not dirs.degenerate
@@ -159,14 +159,14 @@ def test_zero_budget_retrain_is_degenerate():
     ppo_cfg = tiny_ppo()
     theta = init_actor_critic(env, seed=1, hidden=(8, 8))
     with pytest.warns(UserWarning, match="rank deficient"):
-        dirs = directional_retrain(theta, np.array([0.5, 0.5]), env, cfg, ppo_cfg, 0, 0, 0)
+        dirs = directional_retrain(theta, np.array([0.5, 0.5]), env, cfg, ppo_cfg, [0], 0, BudgetLedger())
     assert dirs.degenerate
     assert np.allclose(dirs.deltas[0].data, 0.0)
 
 
 def test_extend_identity_and_endpoint_bit_exact(small_run):
-    env, cfg, ppo_cfg, dirs, evaluator, ledger = small_run
-    cands = extend(dirs, cfg, env, 0, 100, evaluator, eval_seed=7)
+    env, cfg, ppo_cfg, dirs, ledger = small_run
+    cands = extend(dirs, cfg, env, 100, 7, ledger)
     grid = alpha_grid(cfg.alpha_start, cfg.alpha_end, cfg.delta_alpha)
     assert len(cands) == len(grid)
     by_alpha = {c.alphas[0]: c for c in cands}
@@ -179,17 +179,17 @@ def test_extend_identity_and_endpoint_bit_exact(small_run):
 
 
 def test_extend_consumes_no_training_steps(small_run):
-    env, cfg, ppo_cfg, dirs, evaluator, ledger = small_run
+    env, cfg, ppo_cfg, dirs, ledger = small_run
     before_training = ledger.training_steps
     before_eval = ledger.eval_steps
-    cands = extend(dirs, cfg, env, 0, 500, _Evaluator(env, ledger), eval_seed=11)
+    cands = extend(dirs, cfg, env, 500, 11, ledger)
     assert ledger.training_steps == before_training
     assert ledger.eval_steps - before_eval == len(cands) * cfg.eval_episodes * env.spec.horizon
 
 
 def test_extend_matched_weights(small_run):
-    env, cfg, ppo_cfg, dirs, evaluator, ledger = small_run
-    cands = extend(dirs, cfg, env, 0, 0, evaluator, eval_seed=3)
+    env, cfg, ppo_cfg, dirs, ledger = small_run
+    cands = extend(dirs, cfg, env, 0, 3, ledger)
     for c in cands:
         raw = dirs.base_w + c.alphas[0] * dirs.weight_deltas[0]
         assert np.allclose(c.raw_w, raw)
@@ -197,8 +197,8 @@ def test_extend_matched_weights(small_run):
 
 
 def test_select_candidates_matches_brute_force(small_run):
-    env, cfg, ppo_cfg, dirs, evaluator, ledger = small_run
-    cands = extend(dirs, cfg, env, 0, 1000, evaluator, eval_seed=5)
+    env, cfg, ppo_cfg, dirs, ledger = small_run
+    cands = extend(dirs, cfg, env, 1000, 5, ledger)
     selected = select_candidates(cands)
     selected_ids = {c.policy_id for c in selected}
     for c in cands:
@@ -219,19 +219,19 @@ def test_select_candidates_matches_brute_force(small_run):
 
 
 def test_select_single_candidate_is_itself(small_run):
-    env, cfg, ppo_cfg, dirs, evaluator, ledger = small_run
-    cands = extend(dirs, cfg, env, 0, 0, evaluator, eval_seed=5)
+    env, cfg, ppo_cfg, dirs, ledger = small_run
+    cands = extend(dirs, cfg, env, 0, 5, ledger)
     only = select_candidates([cands[0]])
     assert len(only) == 1 and only[0].policy_id == cands[0].policy_id
 
 
 def test_fine_tune_sub_batch_budget_trains_nothing(small_run, tmp_path):
-    env, cfg, ppo_cfg, dirs, evaluator, ledger = small_run
-    cands = extend(dirs, cfg, env, 0, 2000, evaluator, eval_seed=9)[:3]
+    env, cfg, ppo_cfg, dirs, ledger = small_run
+    cands = extend(dirs, cfg, env, 2000, 9, ledger)[:3]
     before = ledger.finetune_steps
     tuned = fine_tune(
-        cands, env, cfg, ppo_cfg, [0, 0, ppo_cfg.steps_per_batch - 1], 0, 3000, evaluator,
-        eval_seed=9, ledger=ledger, log_dir=tmp_path / "logs",
+        cands, env, cfg, ppo_cfg, [0, 0, ppo_cfg.steps_per_batch - 1], 3000, 9, ledger,
+        log_dir=tmp_path / "logs",
     )
     assert tuned == []
     assert ledger.finetune_steps == before
@@ -239,20 +239,19 @@ def test_fine_tune_sub_batch_budget_trains_nothing(small_run, tmp_path):
 
 
 def test_fine_tune_trains_under_matched_weight(small_run):
-    env, cfg, ppo_cfg, dirs, evaluator, ledger = small_run
-    cands = extend(dirs, cfg, env, 0, 4000, evaluator, eval_seed=9)[:2]
+    env, cfg, ppo_cfg, dirs, ledger = small_run
+    cands = extend(dirs, cfg, env, 4000, 9, ledger)[:2]
     before = ledger.finetune_steps
     tuned = fine_tune(
         cands, env, cfg, ppo_cfg,
-        [ppo_cfg.steps_per_batch, ppo_cfg.steps_per_batch],
-        0, 5000, evaluator, eval_seed=9, ledger=ledger,
+        [ppo_cfg.steps_per_batch, ppo_cfg.steps_per_batch], 5000, 9, ledger,
     )
     assert ledger.finetune_steps - before == 2 * ppo_cfg.steps_per_batch
     assert all(not np.array_equal(t.theta.data, c.theta.data) for t, c in zip(tuned, cands))
 
 
 # ---------------------------------------------------------------------------
-# Batched, cached evaluation
+# Batched evaluation
 
 
 def varied_thetas(env, n, seed=0):
@@ -268,7 +267,7 @@ def varied_thetas(env, n, seed=0):
 def test_evaluate_many_matches_per_policy_calls_across_chunks():
     env = DualGoal()
     thetas = varied_thetas(env, 2 * EVAL_CHUNK + 2)
-    got = _Evaluator(env, BudgetLedger()).evaluate_many(thetas, 8, seed=13)
+    got = _evaluate(thetas, env, 8, 13, BudgetLedger())
     for theta, r in zip(thetas, got):
         assert np.array_equal(r.values, evaluate_returns(theta, env, 8, seed=13).values)
 
@@ -276,32 +275,25 @@ def test_evaluate_many_matches_per_policy_calls_across_chunks():
 def test_evaluate_many_returns_input_order():
     env = DualGoal()
     a, b, c = varied_thetas(env, 3, seed=40)
-    forward = _Evaluator(env, BudgetLedger()).evaluate_many([a, b, c], 4, seed=2)
-    backward = _Evaluator(env, BudgetLedger()).evaluate_many([c, a, b], 4, seed=2)
+    forward = _evaluate([a, b, c], env, 4, 2, BudgetLedger())
+    backward = _evaluate([c, a, b], env, 4, 2, BudgetLedger())
     for got, want in zip(backward, [forward[2], forward[0], forward[1]]):
         assert np.array_equal(got.values, want.values)
     assert not np.array_equal(forward[0].values, forward[1].values)
 
 
-def test_evaluate_many_evaluates_a_repeated_theta_once(monkeypatch):
+def test_evaluate_repeated_theta_gets_equal_returns_and_every_policy_is_charged():
     env = DualGoal()
     a, b = varied_thetas(env, 2, seed=50)
-    evaluated = []
-
-    def counting(thetas, *args, **kwargs):
-        evaluated.extend(thetas)
-        return evaluate_returns(thetas, *args, **kwargs)
-
-    monkeypatch.setattr(extension, "evaluate_returns", counting)
     ledger = BudgetLedger()
-    evaluator = _Evaluator(env, ledger)
-    got = evaluator.evaluate_many([a, b, a.copy(), a], 4, seed=3)
-    assert len(evaluated) == 2
-    assert ledger.eval_steps == 2 * 4 * env.spec.horizon
-    assert got[0] is got[2] is got[3]
-    evaluator.evaluate_many([b, a], 4, seed=3)
-    assert len(evaluated) == 2
-    assert ledger.eval_steps == 2 * 4 * env.spec.horizon
+    got = _evaluate([a, b, a.copy(), a], env, 4, 3, ledger)
+    assert np.array_equal(got[0].values, got[2].values)
+    assert np.array_equal(got[0].values, got[3].values)
+    assert not np.array_equal(got[0].values, got[1].values)
+    assert ledger.eval_steps == 4 * 4 * env.spec.horizon
+    again = _evaluate([b, a], env, 4, 3, ledger)
+    assert np.array_equal(again[1].values, got[0].values)
+    assert ledger.eval_steps == 6 * 4 * env.spec.horizon
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +369,98 @@ def test_pipeline_budget_too_small_rejected():
 
 
 # ---------------------------------------------------------------------------
+# One divergence rule for every training run
+
+# K = 3 on DualGoal: three batches per base, one per retrain, three fine-tunes.
+DIVERGE_BUDGET = 1000
+
+
+def diverging_train(monkeypatch, bad_seeds):
+    """Make `extension.train` raise DivergenceError for the given seeds;
+    returns the list of seeds it is called with."""
+    real = extension.train
+    seen = []
+
+    def fake(theta, env, weight, total_steps, cfg, seed, log_stream=None):
+        seen.append(seed)
+        if seed in bad_seeds:
+            raise DivergenceError("non-finite PPO loss (nan)")
+        return real(theta, env, weight, total_steps, cfg, seed, log_stream)
+
+    monkeypatch.setattr(extension, "train", fake)
+    return seen
+
+
+def run_diverging(monkeypatch, bad_seeds):
+    """Pipeline result and the divergence warnings, in order."""
+    diverging_train(monkeypatch, bad_seeds)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_pipeline(DualGoal(), tiny_cfg(K=3), tiny_ppo(), DIVERGE_BUDGET)
+    return result, [str(w.message) for w in caught if "diverged" in str(w.message)]
+
+
+def dropped_message(name):
+    return f"training run {name} diverged and is dropped: non-finite PPO loss (nan)"
+
+
+@pytest.fixture(scope="module")
+def reference_k3():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return run_pipeline(DualGoal(), tiny_cfg(K=3), tiny_ppo(), DIVERGE_BUDGET)
+
+
+def test_diverged_base_is_dropped_with_everything_built_from_it(monkeypatch):
+    result, dropped = run_diverging(monkeypatch, {derive_seed(0, "init", 1)})
+    assert dropped == [dropped_message("init_1")]
+    assert [b.base_index for b in result.bases] == [0, 2]
+    assert [dirs.base_index for dirs in result.directions] == [0, 2]
+    assert all(c.base_index != 1 for c in result.policies_by_id.values())
+    batch = tiny_ppo().steps_per_batch
+    assert result.ledger.init_steps == 2 * 3 * batch
+    assert result.ledger.retrain_steps == 2 * batch
+
+
+def test_fewer_than_two_bases_exits_2_before_retraining(monkeypatch, tmp_path, capsys):
+    config = tmp_path / "c.ini"
+    config.write_text(
+        f"[run]\nenv = dual_goal\noutput_dir = {tmp_path / 'run'}\ntotal_budget = {DIVERGE_BUDGET}\n"
+        "seed = 0\n[lle]\nk = 3\ndelta_alpha = 0.5\neval_episodes = 2\nfinal_eval_episodes = 4\n"
+        "[ppo]\nsteps_per_batch = 64\nminibatches = 4\nepochs = 2\n"
+    )
+    seen = diverging_train(monkeypatch, {derive_seed(0, "init", 0), derive_seed(0, "init", 2)})
+    with pytest.warns(UserWarning, match="diverged and is dropped"):
+        assert main(["run", "--config", str(config)]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert seen == [derive_seed(0, "init", k) for k in range(3)]
+    assert not list((tmp_path / "run" / "train_logs").glob("retrain_*"))
+
+
+def test_diverged_retrain_keeps_its_base_unextended(monkeypatch):
+    result, dropped = run_diverging(monkeypatch, {derive_seed(0, "retrain", 1, 1)})
+    assert dropped == [dropped_message("retrain_1_1")]
+    assert [b.base_index for b in result.bases] == [0, 1, 2]
+    assert 1 in result.final_values
+    assert [dirs.base_index for dirs in result.directions] == [0, 2]
+    assert not [c for c in result.candidates if c.base_index == 1]
+    assert result.ledger.retrain_steps == 2 * tiny_ppo().steps_per_batch
+
+
+def test_diverged_fine_tune_drops_only_its_output(monkeypatch, reference_k3):
+    first = reference_k3.selected[0]
+    assert len(reference_k3.fine_tuned) >= 2
+    result, dropped = run_diverging(monkeypatch, {derive_seed(0, "finetune", first.policy_id)})
+    assert dropped == [dropped_message(f"finetune_{first.policy_id}")]
+    assert [c.policy_id for c in result.selected] == [c.policy_id for c in reference_k3.selected]
+    assert len(result.fine_tuned) == len(reference_k3.fine_tuned) - 1
+    for got, want in zip(result.fine_tuned, reference_k3.fine_tuned[1:]):
+        assert np.array_equal(got.theta.data, want.theta.data)
+    budgets = extension._even_batch_split(DIVERGE_BUDGET // 5, len(result.selected), tiny_ppo().steps_per_batch)
+    assert result.ledger.finetune_steps == reference_k3.ledger.finetune_steps - budgets[0]
+
+
+# ---------------------------------------------------------------------------
 # Training-scale direction and fine-tuning oracles
 
 
@@ -386,7 +470,6 @@ def test_retraining_moves_performance_toward_new_preference():
     improves the shifted scalarization, across seeds."""
     import warnings as w_mod
 
-    cfg = LleConfig(K=2, seed=0, final_eval_episodes=32)
     ppo_cfg = PpoConfig()
     base_w = np.array([1.0, 0.0])
     good = 0
@@ -396,12 +479,10 @@ def test_retraining_moves_performance_toward_new_preference():
         from morlext.ppo import train
 
         base = train(base, env, base_w, 20_000, ppo_cfg, derive_seed(seed, "train"))
-        ledger = BudgetLedger()
+        cfg = LleConfig(K=2, seed=seed, final_eval_episodes=32)
         with w_mod.catch_warnings():
             w_mod.simplefilter("ignore")
-            dirs = directional_retrain(
-                base, base_w, env, cfg, ppo_cfg, 5_120, seed, 0, _Evaluator(env, ledger), ledger
-            )
+            dirs = directional_retrain(base, base_w, env, cfg, ppo_cfg, [5_120], 0, BudgetLedger())
         shifted_w = base_w + dirs.weight_deltas[0]
         differs = not np.array_equal(dirs.base_returns.values, dirs.retrained_returns[0].values)
         improved = float(shifted_w @ dirs.retrained_returns[0].values) >= float(
