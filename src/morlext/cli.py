@@ -17,6 +17,9 @@ import argparse
 import configparser
 import csv
 import json
+import math
+import os
+import shutil
 import sys
 import time
 from dataclasses import Field, fields
@@ -67,6 +70,14 @@ def _section_fields(cls: type) -> dict[str, Field]:
     return {f.name.lower(): f for f in fields(cls) if f.name != "seed"}
 
 
+def _finite(key: str, text: str | float) -> float:
+    """A config number as a float; inf and nan are rejected, naming the key."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {text!r}")
+    return value
+
+
 def _parse_section(parser: configparser.ConfigParser, section: str, cls: type) -> dict:
     """Keyword arguments for `cls` from one INI section, each value converted
     to the type of its field's default."""
@@ -76,7 +87,8 @@ def _parse_section(parser: configparser.ConfigParser, section: str, cls: type) -
         if key not in known:
             raise ConfigError(f"unknown [{section}] key: {key}")
         field = known[key]
-        kwargs[field.name] = type(field.default)(text)
+        kind = type(field.default)
+        kwargs[field.name] = _finite(key, text) if kind is float else kind(text)
     return kwargs
 
 
@@ -102,7 +114,7 @@ def load_run_config(path: str | Path) -> dict:
     return {
         "env": run.get("env", "dual_goal"),
         "seed": seed,
-        "total_budget": int(float(run.get("total_budget", 150_000))),
+        "total_budget": int(_finite("total_budget", run.get("total_budget", 150_000))),
         "output_dir": run.get("output_dir"),
         "lle": lle_cfg,
         "ppo": ppo_cfg,
@@ -155,11 +167,17 @@ def _write_run_artifacts(out_dir: Path, config: dict, result: PipelineResult, wa
     out_dir.mkdir(parents=True, exist_ok=True)
     write_config_snapshot(out_dir / "config.ini", config)
 
+    # Each selected or fine-tuned policy is stored once: selected.jsonl and
+    # fine_tuned.jsonl hold only those final.jsonl does not. bases.jsonl
+    # stays whole, because `distance` addresses bases by entry index.
+    final_ids = {p.policy_id for p in result.archive.points}
+
+    def off_front(cands):
+        return _candidate_records([c for c in cands if c.policy_id not in final_ids], result.final_values)
+
     policies_dir = out_dir / "policies"
     save_archive(policies_dir / "bases.jsonl", _candidate_records(result.bases, result.final_values))
-    save_archive(
-        policies_dir / "fine_tuned.jsonl", _candidate_records(result.fine_tuned, result.final_values)
-    )
+    save_archive(policies_dir / "fine_tuned.jsonl", off_front(result.fine_tuned))
     direction_records = []
     for dirs in result.directions:
         for i, (theta, dw) in enumerate(zip(dirs.retrained_thetas, dirs.weight_deltas)):
@@ -178,12 +196,7 @@ def _write_run_artifacts(out_dir: Path, config: dict, result: PipelineResult, wa
     save_archive(policies_dir / "directions.jsonl", direction_records)
     final_members = [result.policies_by_id[p.policy_id] for p in result.archive.points]
     save_archive(policies_dir / "final.jsonl", _candidate_records(final_members, result.final_values))
-    # Each policy is stored once: selected.jsonl holds the survivors final.jsonl does not.
-    final_ids = {p.policy_id for p in result.archive.points}
-    save_archive(
-        policies_dir / "selected.jsonl",
-        _candidate_records([c for c in result.selected if c.policy_id not in final_ids], result.final_values),
-    )
+    save_archive(policies_dir / "selected.jsonl", off_front(result.selected))
 
     with open(out_dir / "candidates.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -251,18 +264,30 @@ def compute_metrics(
 
 
 def cmd_run(args) -> int:
+    """Run the pipeline into a hidden sibling of the output directory and
+    move it into place only when complete, so the output path holds a
+    whole run or nothing. An existing output path is never written to."""
     config = load_run_config(args.config)
     if args.output_dir is not None:
         config["output_dir"] = args.output_dir
     if config["output_dir"] is None:
         raise ConfigError("no output_dir in [run] section and no --output-dir given")
     out_dir = Path(config["output_dir"])
+    if out_dir.exists():
+        raise ConfigError(f"output directory {out_dir} already exists; choose a new one")
     env = make_env(config["env"])
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    partial = out_dir.with_name(f".{out_dir.name}.partial-{os.getpid()}")
     start = time.monotonic()
-    result = run_pipeline(
-        env, config["lle"], config["ppo"], config["total_budget"], log_dir=out_dir / "train_logs"
-    )
-    metrics = _write_run_artifacts(out_dir, config, result, time.monotonic() - start)
+    try:
+        result = run_pipeline(
+            env, config["lle"], config["ppo"], config["total_budget"], log_dir=partial / "train_logs"
+        )
+        metrics = _write_run_artifacts(partial, config, result, time.monotonic() - start)
+        os.replace(partial, out_dir)
+    except BaseException:
+        shutil.rmtree(partial, ignore_errors=True)
+        raise
     print(f"run complete: {len(result.archive)} front points -> {out_dir}")
     print(f"hv={metrics['hv']:.6g} eu={metrics['eu']:.6g} sp={metrics['sp']:.6g}")
     return EXIT_OK

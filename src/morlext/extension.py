@@ -1,11 +1,13 @@
-"""Five-stage Pareto front construction around parameter-space extension.
+"""Five-stage, two-objective Pareto front construction around
+parameter-space extension.
 
 1. Train K base policies under evenly spread preference weights.
-2. For each base, briefly retrain under d-1 shifted weights and record
-   the parameter and weight differences as local directions.
+2. For each base, briefly retrain under one shifted weight and record
+   the parameter and weight differences as its local direction.
 3. Generate candidates training-free on a grid of direction
-   coefficients: theta = base + sum_i alpha_i * dtheta_i, each with a
-   matched weight w = w_base + sum_i alpha_i * dw_i.
+   coefficients: theta = base + alpha * dtheta, each with a matched
+   weight w = w_base + alpha * dw. Directions and coefficients are kept
+   as length-one lists, the shape the run directory's files record.
 4. Evaluate candidates and keep the pooled non-dominated subset.
 5. Fine-tune briefly, under its matched weight, each survivor the budget
    gives at least one batch; the final archive is the non-dominated
@@ -94,67 +96,22 @@ def alpha_grid(alpha_start: float, alpha_end: float, delta_alpha: float) -> np.n
     return grid
 
 
-def make_base_weights(k: int, d: int) -> list[np.ndarray]:
-    """K preference weights spread evenly over the (d-1)-simplex."""
+def make_base_weights(k: int) -> list[np.ndarray]:
+    """K two-objective preference weights spread evenly from (1, 0) to (0, 1)."""
     if k < 2:
         raise ValueError("need at least two base weights")
-    if d == 2:
-        firsts = np.linspace(1.0, 0.0, k)
-        return [np.array([w, 1.0 - w]) for w in firsts]
-    # Uniform lattice at the finest resolution whose size does not exceed
-    # k, or the next one truncated (descending lexicographic) when no
-    # resolution matches exactly.
-    def lattice(res: int) -> list[tuple[int, ...]]:
-        return sorted(_compositions(res, d), reverse=True)
-
-    res = 1
-    while math.comb(res + d - 1, d - 1) < k:
-        res += 1
-    points = lattice(res)
-    if len(points) > k and res > 1 and math.comb(res - 1 + d - 1, d - 1) == k:
-        points = lattice(res - 1)
-    return [np.array(p, dtype=np.float64) / sum(p) for p in points[:k]]
+    return [np.array([w, 1.0 - w]) for w in np.linspace(1.0, 0.0, k)]
 
 
-def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(total, -1, -1):
-        out.extend((first, *rest) for rest in _compositions(total - first, parts - 1))
-    return out
-
-
-def shift_weight(weight: np.ndarray, direction_index: int, delta_s: float) -> np.ndarray:
-    """Nearby preference for directional retraining.
-
-    d=2: subtract delta_s from the first coordinate, reflecting the shift
-    when that would leave [0, 1]. d>=3: move delta_s of mass from the
-    largest coordinate toward the direction_index-th other coordinate
-    with the same reflection rule, then renormalize.
-    """
-    weight = check_weight(np.asarray(weight, dtype=np.float64))
-    d = weight.shape[0]
+def shift_weight(weight: np.ndarray, delta_s: float) -> np.ndarray:
+    """Nearby preference for directional retraining: subtract delta_s from
+    the first coordinate, reflecting the shift when that would leave [0, 1]."""
+    weight = check_weight(weight, 2)
     if delta_s >= 1.0 or delta_s <= 0.0:
         raise ValueError("delta_s must be in (0, 1)")
-    if not 1 <= direction_index <= d - 1:
-        raise ValueError(f"direction_index must be in [1, {d - 1}]")
-    if d == 2:
-        if 0.0 <= weight[0] - delta_s <= 1.0:
-            return np.array([weight[0] - delta_s, weight[1] + delta_s])
-        return np.array([weight[0] + delta_s, weight[1] - delta_s])
-    source = int(np.argmax(weight))
-    others = [i for i in range(d) if i != source]
-    target = others[direction_index - 1]
-    shifted = weight.copy()
-    if 0.0 <= weight[source] - delta_s <= 1.0 and weight[target] + delta_s <= 1.0:
-        shifted[source] -= delta_s
-        shifted[target] += delta_s
-    else:
-        shifted[source] += delta_s
-        shifted[target] -= delta_s
-    shifted = np.clip(shifted, 0.0, 1.0)
-    return shifted / shifted.sum()
+    if 0.0 <= weight[0] - delta_s <= 1.0:
+        return np.array([weight[0] - delta_s, weight[1] + delta_s])
+    return np.array([weight[0] + delta_s, weight[1] - delta_s])
 
 
 def clip_to_simplex(raw: np.ndarray) -> np.ndarray:
@@ -311,53 +268,46 @@ def directional_retrain(
     env: VectorRewardEnv,
     cfg: LleConfig,
     ppo_cfg: PpoConfig,
-    t_dir: list[int],
+    t_dir: int,
     base_index: int,
     ledger: BudgetLedger,
     log_dir: Path | None = None,
 ) -> DirectionSet | None:
-    """Estimate d-1 local directions by brief retraining at shifted weights.
+    """Estimate the local direction by brief retraining, for `t_dir` steps,
+    at the one shifted weight.
 
-    The base and each retrained policy are checked for mutual
-    non-dominance at final evaluation grade; a violation or a rank
-    deficient direction matrix is flagged, never raised, so degenerate
-    runs still complete with whatever directions they found. If a
-    retraining run diverges there are no directions: returns None.
+    The base and the retrained policy are checked for mutual non-dominance
+    at final evaluation grade; a violation or a rank deficient direction
+    matrix is flagged, never raised, so degenerate runs still complete
+    with the direction they found. If the retraining run diverges there
+    is no direction: returns None.
     """
-    d = env.spec.d
-    if len(t_dir) != d - 1:
-        raise ValueError(f"need one retraining budget per direction ({d - 1})")
-    shifted = [shift_weight(base_w, i, cfg.delta_s) for i in range(1, d)]
-    jobs = [
-        _Job(base_theta, w, steps, derive_seed(cfg.seed, "retrain", base_index, i), f"retrain_{base_index}_{i}")
-        for i, (w, steps) in enumerate(zip(shifted, t_dir), start=1)
-    ]
-    retrained, taken = _train_all(jobs, env, ppo_cfg, log_dir)
+    shifted = shift_weight(base_w, cfg.delta_s)
+    seed = derive_seed(cfg.seed, "retrain", base_index, 1)
+    job = _Job(base_theta, shifted, t_dir, seed, f"retrain_{base_index}_1")
+    (retrained,), taken = _train_all([job], env, ppo_cfg, log_dir)
     ledger.retrain_steps += taken
-    if None in retrained:
+    if retrained is None:
         return None
     dirs = DirectionSet(
         base_index=base_index,
         base_theta=base_theta,
         base_w=base_w,
-        deltas=[ParameterVector(r.data - base_theta.data, base_theta.layout) for r in retrained],
-        weight_deltas=[w - base_w for w in shifted],
-        retrained_thetas=retrained,
+        deltas=[ParameterVector(retrained.data - base_theta.data, base_theta.layout)],
+        weight_deltas=[shifted - base_w],
+        retrained_thetas=[retrained],
     )
     dirs.base_returns, *dirs.retrained_returns = _evaluate(
-        [base_theta, *retrained], env, cfg.final_eval_episodes, derive_seed(cfg.seed, "eval.final"), ledger
+        [base_theta, retrained], env, cfg.final_eval_episodes, derive_seed(cfg.seed, "eval.final"), ledger
     )
-    for i, r in enumerate(dirs.retrained_returns, start=1):
-        incomparable = not dominates(dirs.base_returns.values, r.values) and not dominates(
-            r.values, dirs.base_returns.values
+    base, moved = dirs.base_returns.values, dirs.retrained_returns[0].values
+    incomparable = not dominates(base, moved) and not dominates(moved, base)
+    dirs.mutual_non_dominated.append(incomparable)
+    if not incomparable:
+        warnings.warn(
+            f"base {base_index} and its retrain are not mutually non-dominated; keeping the direction",
+            stacklevel=2,
         )
-        dirs.mutual_non_dominated.append(incomparable)
-        if not incomparable:
-            warnings.warn(
-                f"base {base_index} and its direction-{i} retrain are not mutually "
-                "non-dominated; keeping the direction",
-                stacklevel=2,
-            )
     dirs.degenerate = check_degenerate(dirs.direction_matrix())
     if dirs.degenerate:
         warnings.warn(f"direction matrix for base {base_index} is rank deficient", stacklevel=2)
@@ -530,18 +480,21 @@ def run_pipeline(
     retraining, and fine-tuning. Every return vector entering the final
     archive is re-evaluated at final grade with a shared seed, so
     identical policies collapse exactly and stage-to-stage hypervolume
-    can only grow.
+    can only grow. The pipeline is defined for two objectives: an
+    environment with any other d is rejected before any training.
     """
-    d = env.spec.d
-    m = d - 1
+    if env.spec.d != 2:
+        raise ValueError(
+            f"the pipeline needs a two-objective environment; {env.spec.name} has d = {env.spec.d}"
+        )
     log_dir = Path(log_dir) if log_dir is not None else None
     ledger = BudgetLedger(total_budget=int(total_budget))
     batch = ppo_cfg.steps_per_batch
 
     init_budgets = _batch_for_each_run(3 * total_budget // 5, cfg.K, batch, "bases")
-    dir_budgets = _batch_for_each_run(total_budget // 5, cfg.K * m, batch, "direction runs")
+    dir_budgets = _batch_for_each_run(total_budget // 5, cfg.K, batch, "direction runs")
 
-    weights = make_base_weights(cfg.K, d)
+    weights = make_base_weights(cfg.K)
     select_seed = derive_seed(cfg.seed, "eval.select")
     final_seed = derive_seed(cfg.seed, "eval.final")
 
@@ -564,7 +517,7 @@ def run_pipeline(
             matched_w=weights[k].copy(),
             raw_w=weights[k].copy(),
             base_index=k,
-            alphas=tuple([0.0] * m),
+            alphas=(0.0,),
             stage="extended",
             policy_id=k,
         )
@@ -576,7 +529,7 @@ def run_pipeline(
     for base in bases:
         k = base.base_index
         dirs = directional_retrain(
-            base.theta, weights[k], env, cfg, ppo_cfg, dir_budgets[k * m : (k + 1) * m], k, ledger, log_dir
+            base.theta, weights[k], env, cfg, ppo_cfg, dir_budgets[k], k, ledger, log_dir
         )
         if dirs is not None:
             directions.append(dirs)

@@ -248,7 +248,7 @@ def test_retrained_policy_closer_than_independent():
 
 
 # ---------------------------------------------------------------------------
-# 6. Pipeline monotonicity and training-free extension
+# 6. Pipeline monotonicity, the extension stage's own gain, training-free extension
 
 
 @pytest.mark.slow
@@ -260,14 +260,19 @@ def test_pipeline_monotonicity_and_budget():
         cfg = LleConfig(K=6, seed=seed)
         result = run_pipeline(DualGoal(), cfg, PpoConfig(), total_budget=150_000)
         hv_bases = hypervolume(result.base_archive, result.ref_point)
+        hv_selection = hypervolume(result.selection_archive, result.ref_point)
         hv_final = hypervolume(result.archive, result.ref_point)
         monotone = hv_final >= hv_bases
+        # The extension stage's own gain: selection strictly beats the bases.
+        extension_gain = hv_selection > hv_bases
         training_free = result.ledger.extension_training_steps == 0
         within_budget = result.ledger.training_steps <= 150_000
-        ok &= monotone and training_free and within_budget
-        details.append(f"seed {seed}: {hv_bases:.1f}->{hv_final:.1f}")
+        ok &= monotone and extension_gain and training_free and within_budget
+        details.append(
+            f"seed {seed}: bases {hv_bases:.1f} -> selection {hv_selection:.1f} -> final {hv_final:.1f}"
+        )
     report(
-        "pipeline monotonicity",
+        "pipeline monotonicity and extension gain",
         ok,
         f"{'; '.join(details)}; extension training steps all 0, {time.monotonic() - start:.0f}s",
     )

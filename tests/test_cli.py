@@ -9,6 +9,7 @@ from morlext.cli import load_run_config, main, write_config_snapshot
 from morlext.extension import LleConfig
 from morlext.pareto import load_front_table
 from morlext.ppo import PpoConfig
+from morlext.svgplot import render_front_svg
 
 
 MINIMAL_CONFIG = """\
@@ -51,6 +52,7 @@ def test_run_writes_all_artifact_kinds(run_dir):
         assert (policies / f"{name}.jsonl").is_file()
     assert (run_dir / "candidates.csv").is_file()
     assert any((run_dir / "train_logs").iterdir())
+    assert not list(run_dir.parent.glob(".run.partial-*"))
 
 
 def test_each_selected_policy_is_archived_once(run_dir):
@@ -59,10 +61,16 @@ def test_each_selected_policy_is_archived_once(run_dir):
                 for line in (run_dir / "policies" / f"{name}.jsonl").read_text().splitlines()}
 
     with open(run_dir / "candidates.csv", newline="") as fh:
-        selected = {int(row["policy_id"]) for row in csv.DictReader(fh) if row["selected"] == "1"}
-    assert not ids("selected") & ids("final")
-    assert selected <= ids("selected") | ids("final")
-    assert ids("selected") <= selected
+        rows = list(csv.DictReader(fh))
+    members = {
+        "selected": {int(row["policy_id"]) for row in rows if row["selected"] == "1"},
+        "fine_tuned": {int(row["policy_id"]) for row in rows if row["stage"] == "fine_tuned"},
+    }
+    for name, policy_ids in members.items():
+        assert policy_ids, name
+        assert not ids(name) & ids("final"), name
+        assert policy_ids <= ids(name) | ids("final"), name
+        assert ids(name) <= policy_ids, name
 
 
 def test_metrics_json_consistent_with_front(run_dir):
@@ -99,6 +107,38 @@ def test_front_svg_has_marker_shapes(run_dir):
     svg = (run_dir / "front.svg").read_text()
     assert svg.startswith("<svg")
     assert "circle" in svg
+
+
+PINNED_SVG = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="800" height="600" viewBox="0 0 800 600">
+<rect width="800" height="600" fill="white"/>
+<text x="400.0" y="22" text-anchor="middle" font-size="16">pinned front</text>
+<rect x="70.0" y="40" width="710.0" height="510" fill="none" stroke="#444" stroke-width="1"/>
+<text x="425.0" y="588" text-anchor="middle" font-size="14">objective 1</text>
+<text x="18.0" y="300.0" text-anchor="middle" font-size="14" transform="rotate(-90 18.0 300.0)">objective 2</text>
+<text x="64.0" y="566" text-anchor="end" font-size="11">0.85</text>
+<text x="780.0" y="566" text-anchor="end" font-size="11">4.15</text>
+<text x="62.0" y="550" text-anchor="end" font-size="11">-1.56</text>
+<text x="62.0" y="50" text-anchor="end" font-size="11">5.31</text>
+<circle cx="102.3" cy="63.2" r="7" fill="none" stroke="#2ca02c" stroke-width="2"/>
+<circle cx="102.3" cy="63.2" r="3.5" fill="#1f77b4"/>
+<rect x="421.5" y="208.0" width="7" height="7" fill="#d62728"/>
+<circle cx="747.7" cy="526.8" r="3.5" fill="#1f77b4"/>
+</svg>"""
+
+
+def test_front_svg_text_is_pinned(tmp_path):
+    path = tmp_path / "front.svg"
+    front = np.array([[1.0, 5.0], [2.5, 3.0], [4.0, -1.25]])
+    stages = ["extended", "fine_tuned", "extended"]
+    render_front_svg(path, front, stages, [True, False, False], title="pinned front")
+    assert path.read_text() == PINNED_SVG
+
+
+def test_front_svg_rejects_three_objectives(tmp_path):
+    with pytest.raises(ValueError, match="two-objective"):
+        render_front_svg(tmp_path / "front.svg", np.ones((3, 3)), ["extended"] * 3, [False] * 3)
+    assert not (tmp_path / "front.svg").exists()
 
 
 def test_distance_subcommand(run_dir, capsys):
@@ -152,7 +192,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     # Stage budgets come from the 3:1:1 split and the seed from [run], so
     # no [lle] key sets either.
     cases = [("run", "bogus_key", "3"), ("lle", "t_init", "63"), ("lle", "t_dir", "64"),
-             ("lle", "t_ref", "0"), ("lle", "seed", "7")]
+             ("lle", "t_ref", "0"), ("lle", "seed", "7"), ("run", "total_budget", "inf")]
     for section, key, value in cases:
         sections = {"run": f"env = dual_goal\noutput_dir = {tmp_path / 'x'}\n",
                     "ppo": "steps_per_batch = 64\n", "lle": ""}
@@ -162,6 +202,25 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         assert main(["run", "--config", str(config)]) == 1, key
         assert key in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+
+def test_existing_output_dir_is_rejected_untouched(tmp_path, monkeypatch, capsys):
+    import morlext.extension as extension
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("train must not be called")
+
+    monkeypatch.setattr(extension, "train", no_training)
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "notes.txt").write_text("an earlier run")
+    config = tmp_path / "config.ini"
+    config.write_text(MINIMAL_CONFIG.format(out=out))
+    assert main(["run", "--config", str(config)]) == 1
+    assert "already exists" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "an earlier run"
+    assert not list(tmp_path.glob(".run.partial-*"))
 
 
 def test_config_snapshot_round_trips_every_field(tmp_path):
@@ -210,6 +269,8 @@ INVALID_FIELDS = [
     ("ppo", "steps_per_batch", "0"), ("ppo", "steps_per_batch", "-512"), ("ppo", "minibatches", "0"),
     ("ppo", "learning_rate", "-1"), ("ppo", "learning_rate", "0"),
     ("lle", "eval_episodes", "0"), ("lle", "final_eval_episodes", "0"),
+    ("lle", "alpha_end", "inf"), ("lle", "delta_alpha", "nan"), ("ppo", "max_grad_norm", "nan"),
+    ("ppo", "clip", "nan"), ("ppo", "value_coeff", "inf"),
 ]
 
 

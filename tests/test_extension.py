@@ -5,7 +5,7 @@ import pytest
 
 from morlext import extension
 from morlext.cli import main
-from morlext.envs import DualGoal
+from morlext.envs import DualGoal, EnvSpec, VectorRewardEnv
 from morlext.extension import (
     EVAL_CHUNK,
     BudgetLedger,
@@ -51,57 +51,43 @@ def tiny_cfg(**overrides):
 
 
 def test_base_weights_k3_d2():
-    w = make_base_weights(3, 2)
+    w = make_base_weights(3)
     assert np.allclose(w, [[1, 0], [0.5, 0.5], [0, 1]])
 
 
 def test_base_weights_k6_d2_step():
-    w = np.stack(make_base_weights(6, 2))
+    w = np.stack(make_base_weights(6))
     assert np.allclose(np.diff(w[:, 0]), -0.2)
     assert np.allclose(w[0], [1, 0]) and np.allclose(w[-1], [0, 1])
 
 
-def test_base_weights_k6_d3_lattice():
-    w = {tuple(x) for x in np.round(np.stack(make_base_weights(6, 3)), 6)}
-    expected = {
-        (1, 0, 0), (0, 1, 0), (0, 0, 1),
-        (0.5, 0.5, 0), (0.5, 0, 0.5), (0, 0.5, 0.5),
-    }
-    assert w == expected
-
-
 def test_base_weights_all_on_simplex():
-    for k, d in [(2, 2), (7, 3), (10, 3), (4, 4)]:
-        for w in make_base_weights(k, d):
+    for k in (2, 7, 10):
+        for w in make_base_weights(k):
             assert w.min() >= 0 and w.sum() == pytest.approx(1.0)
-        assert len(make_base_weights(k, d)) == k
+        assert len(make_base_weights(k)) == k
 
 
 def test_shift_weight_midpoint():
-    assert np.allclose(shift_weight(np.array([0.5, 0.5]), 1, 0.1), [0.4, 0.6])
+    assert np.allclose(shift_weight(np.array([0.5, 0.5]), 0.1), [0.4, 0.6])
 
 
 def test_shift_weight_reflects_at_boundary():
-    assert np.allclose(shift_weight(np.array([0.05, 0.95]), 1, 0.1), [0.15, 0.85])
+    assert np.allclose(shift_weight(np.array([0.05, 0.95]), 0.1), [0.15, 0.85])
 
 
 def test_shift_weight_vertex_moves_inward():
-    assert np.allclose(shift_weight(np.array([1.0, 0.0]), 1, 0.1), [0.9, 0.1])
+    assert np.allclose(shift_weight(np.array([1.0, 0.0]), 0.1), [0.9, 0.1])
 
 
 def test_shift_weight_rejects_large_delta():
     with pytest.raises(ValueError):
-        shift_weight(np.array([0.5, 0.5]), 1, 1.0)
+        shift_weight(np.array([0.5, 0.5]), 1.0)
 
 
-def test_shift_weight_d3_moves_mass_and_stays_on_simplex():
-    w = np.array([0.6, 0.3, 0.1])
-    for i in (1, 2):
-        shifted = shift_weight(w, i, 0.1)
-        assert shifted.sum() == pytest.approx(1.0)
-        assert shifted.min() >= 0
-        assert not np.allclose(shifted, w)
-    assert np.allclose(shift_weight(w, 1, 0.1), [0.5, 0.4, 0.1])
+def test_shift_weight_rejects_three_objective_weight():
+    with pytest.raises(ValueError, match="expected"):
+        shift_weight(np.array([0.6, 0.3, 0.1]), 0.1)
 
 
 def test_alpha_grid_default_is_61_points():
@@ -141,7 +127,7 @@ def small_run():
     base_w = np.array([0.5, 0.5])
     theta = init_actor_critic(env, seed=derive_seed(0, "net", 0), hidden=(8, 8))
     ledger = BudgetLedger()
-    dirs = directional_retrain(theta, base_w, env, cfg, ppo_cfg, [2 * ppo_cfg.steps_per_batch], 0, ledger)
+    dirs = directional_retrain(theta, base_w, env, cfg, ppo_cfg, 2 * ppo_cfg.steps_per_batch, 0, ledger)
     return env, cfg, ppo_cfg, dirs, ledger
 
 
@@ -159,7 +145,7 @@ def test_zero_budget_retrain_is_degenerate():
     ppo_cfg = tiny_ppo()
     theta = init_actor_critic(env, seed=1, hidden=(8, 8))
     with pytest.warns(UserWarning, match="rank deficient"):
-        dirs = directional_retrain(theta, np.array([0.5, 0.5]), env, cfg, ppo_cfg, [0], 0, BudgetLedger())
+        dirs = directional_retrain(theta, np.array([0.5, 0.5]), env, cfg, ppo_cfg, 0, 0, BudgetLedger())
     assert dirs.degenerate
     assert np.allclose(dirs.deltas[0].data, 0.0)
 
@@ -368,6 +354,16 @@ def test_pipeline_budget_too_small_rejected():
         run_pipeline(env, tiny_cfg(K=2), tiny_ppo(), total_budget=300)
 
 
+def test_pipeline_rejects_three_objectives_before_training(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("train must not be called")
+
+    monkeypatch.setattr(extension, "train", no_training)
+    env = VectorRewardEnv(EnvSpec("three_objective", obs_dim=4, act_dim=2, d=3))
+    with pytest.raises(ValueError, match="d = 3"):
+        run_pipeline(env, tiny_cfg(), tiny_ppo(), total_budget=2000)
+
+
 # ---------------------------------------------------------------------------
 # One divergence rule for every training run
 
@@ -434,7 +430,8 @@ def test_fewer_than_two_bases_exits_2_before_retraining(monkeypatch, tmp_path, c
         assert main(["run", "--config", str(config)]) == 2
     assert "numerical failure" in capsys.readouterr().err
     assert seen == [derive_seed(0, "init", k) for k in range(3)]
-    assert not list((tmp_path / "run" / "train_logs").glob("retrain_*"))
+    assert not (tmp_path / "run").exists()
+    assert not list(tmp_path.glob(".run.partial-*"))
 
 
 def test_diverged_retrain_keeps_its_base_unextended(monkeypatch):
@@ -482,7 +479,7 @@ def test_retraining_moves_performance_toward_new_preference():
         cfg = LleConfig(K=2, seed=seed, final_eval_episodes=32)
         with w_mod.catch_warnings():
             w_mod.simplefilter("ignore")
-            dirs = directional_retrain(base, base_w, env, cfg, ppo_cfg, [5_120], 0, BudgetLedger())
+            dirs = directional_retrain(base, base_w, env, cfg, ppo_cfg, 5_120, 0, BudgetLedger())
         shifted_w = base_w + dirs.weight_deltas[0]
         differs = not np.array_equal(dirs.base_returns.values, dirs.retrained_returns[0].values)
         improved = float(shifted_w @ dirs.retrained_returns[0].values) >= float(
