@@ -70,9 +70,13 @@ def _section_fields(cls: type) -> dict[str, Field]:
     return {f.name.lower(): f for f in fields(cls) if f.name != "seed"}
 
 
-def _finite(key: str, text: str | float) -> float:
-    """A config number as a float; inf and nan are rejected, naming the key."""
-    value = float(text)
+def _number(key: str, text: str | int, kind: type) -> int | float:
+    """A config number as `kind` (int or float); text that is not one, and
+    inf or nan, are rejected naming the key."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {text!r}") from None
     if not math.isfinite(value):
         raise ConfigError(f"{key} must be a finite number, got {text!r}")
     return value
@@ -87,8 +91,7 @@ def _parse_section(parser: configparser.ConfigParser, section: str, cls: type) -
         if key not in known:
             raise ConfigError(f"unknown [{section}] key: {key}")
         field = known[key]
-        kind = type(field.default)
-        kwargs[field.name] = _finite(key, text) if kind is float else kind(text)
+        kwargs[field.name] = _number(key, text, type(field.default))
     return kwargs
 
 
@@ -104,7 +107,7 @@ def load_run_config(path: str | Path) -> dict:
     if unknown := set(run) - known_run:
         raise ConfigError(f"unknown [run] keys: {sorted(unknown)}")
 
-    seed = int(run.get("seed", 0))
+    seed = _number("seed", run.get("seed", 0), int)
     try:
         lle_cfg = LleConfig(seed=seed, **_parse_section(parser, "lle", LleConfig))
         ppo_cfg = PpoConfig(**_parse_section(parser, "ppo", PpoConfig))
@@ -114,7 +117,7 @@ def load_run_config(path: str | Path) -> dict:
     return {
         "env": run.get("env", "dual_goal"),
         "seed": seed,
-        "total_budget": int(_finite("total_budget", run.get("total_budget", 150_000))),
+        "total_budget": int(_number("total_budget", run.get("total_budget", 150_000), float)),
         "output_dir": run.get("output_dir"),
         "lle": lle_cfg,
         "ppo": ppo_cfg,
@@ -263,10 +266,19 @@ def compute_metrics(
     }
 
 
+def _terminate(signum, frame):
+    """SIGTERM handler for `cmd_run`: exit through its cleanup."""
+    raise SystemExit(128 + signum)
+
+
 def cmd_run(args) -> int:
     """Run the pipeline into a hidden sibling of the output directory and
     move it into place only when complete, so the output path holds a
-    whole run or nothing. An existing output path is never written to."""
+    whole run or nothing. An existing output path is never written to.
+    SIGTERM exits through the same cleanup as an error (exit 143); the
+    previous SIGTERM handler is restored on return."""
+    import signal  # here, not at the top: it adds about 1 ms to every CLI start
+
     config = load_run_config(args.config)
     if args.output_dir is not None:
         config["output_dir"] = args.output_dir
@@ -279,6 +291,7 @@ def cmd_run(args) -> int:
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     partial = out_dir.with_name(f".{out_dir.name}.partial-{os.getpid()}")
     start = time.monotonic()
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         result = run_pipeline(
             env, config["lle"], config["ppo"], config["total_budget"], log_dir=partial / "train_logs"
@@ -288,6 +301,8 @@ def cmd_run(args) -> int:
     except BaseException:
         shutil.rmtree(partial, ignore_errors=True)
         raise
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     print(f"run complete: {len(result.archive)} front points -> {out_dir}")
     print(f"hv={metrics['hv']:.6g} eu={metrics['eu']:.6g} sp={metrics['sp']:.6g}")
     return EXIT_OK

@@ -22,9 +22,12 @@ Every training run of every stage goes through one runner with one
 divergence rule: a run whose loss goes non-finite is warned about and
 dropped, together with everything built from it (a base's directions
 and grid, a retrain's grid, a fine-tune's output), and the run fails
-only when fewer than two bases train. Evaluation is a pure function of
-(theta, episodes, seed), so identical policies get identical returns
-without a cache.
+only when fewer than two bases train. The runner trains each stage's
+runs of equal step budget as one lockstep stack. Evaluation is a pure
+function of (theta, episodes, seed), so identical policies get
+identical returns without a cache, and each (theta, episodes, seed) is
+rolled out once: a grid's alpha = 0 and alpha = 1 copies take the
+returns of the base and the retrained policy they copy.
 """
 
 from __future__ import annotations
@@ -241,77 +244,96 @@ class _Job:
 def _train_all(
     jobs: list[_Job], env: VectorRewardEnv, ppo_cfg: PpoConfig, log_dir: Path | None
 ) -> tuple[list[ParameterVector | None], int]:
-    """Train the jobs in order.
+    """Train the jobs, each group of equal step budget as one lockstep
+    stack (one `train` call), groups in order of their first job.
 
     Returns the trained vectors in job order, with None for each job whose
-    loss went non-finite (warned about once and dropped), and the
-    environment steps taken by the runs that completed.
+    loss went non-finite (warned about once, in job order, and dropped),
+    and the environment steps taken by the runs that completed.
     """
     if jobs and log_dir is not None:
         log_dir.mkdir(parents=True, exist_ok=True)
+    groups: dict[int, list[int]] = {}
+    for i, job in enumerate(jobs):
+        groups.setdefault(job.steps, []).append(i)
+    outcomes: list[ParameterVector | DivergenceError | None] = [None] * len(jobs)
+    for steps, members in groups.items():
+        group = [jobs[i] for i in members]
+        with contextlib.ExitStack() as files:
+            logs = [files.enter_context(open(log_dir / f"{job.name}.log", "w")) if log_dir else None
+                    for job in group]
+            results = train([job.theta for job in group], env, [job.weight for job in group], steps,
+                            ppo_cfg, [job.seed for job in group], logs)
+        for i, result in zip(members, results):
+            outcomes[i] = result
     trained, taken = [], 0
-    for job in jobs:
-        try:
-            with open(log_dir / f"{job.name}.log", "w") if log_dir else contextlib.nullcontext() as log:
-                trained.append(train(job.theta, env, job.weight, job.steps, ppo_cfg, job.seed, log))
-        except DivergenceError as err:
-            warnings.warn(f"training run {job.name} diverged and is dropped: {err}", stacklevel=2)
+    for job, outcome in zip(jobs, outcomes):
+        if isinstance(outcome, DivergenceError):
+            warnings.warn(f"training run {job.name} diverged and is dropped: {outcome}", stacklevel=2)
             trained.append(None)
-            continue
-        taken += steps_taken(job.steps, ppo_cfg)
+        else:
+            trained.append(outcome)
+            taken += steps_taken(job.steps, ppo_cfg)
     return trained, taken
 
 
 def directional_retrain(
-    base_theta: ParameterVector,
-    base_w: np.ndarray,
+    bases: list[CandidatePolicy],
     env: VectorRewardEnv,
     cfg: LleConfig,
     ppo_cfg: PpoConfig,
-    t_dir: int,
-    base_index: int,
+    budgets: list[int],
     ledger: BudgetLedger,
     log_dir: Path | None = None,
-) -> DirectionSet | None:
-    """Estimate the local direction by brief retraining, for `t_dir` steps,
-    at the one shifted weight.
+) -> list[DirectionSet]:
+    """Estimate each base's local direction by brief retraining at its one
+    shifted weight, for its entry of `budgets` steps.
 
-    The base and the retrained policy are checked for mutual non-dominance
-    at final evaluation grade; a violation or a rank deficient direction
-    matrix is flagged, never raised, so degenerate runs still complete
-    with the direction they found. If the retraining run diverges there
-    is no direction: returns None.
+    Each base and its retrained policy are checked for mutual
+    non-dominance at final evaluation grade; a violation or a rank
+    deficient direction matrix is flagged, never raised, so degenerate
+    runs still complete with the direction they found. A base whose
+    retraining run diverges gets no direction set.
     """
-    shifted = shift_weight(base_w, cfg.delta_s)
-    seed = derive_seed(cfg.seed, "retrain", base_index, 1)
-    job = _Job(base_theta, shifted, t_dir, seed, f"retrain_{base_index}_1")
-    (retrained,), taken = _train_all([job], env, ppo_cfg, log_dir)
+    if len(budgets) != len(bases):
+        raise ValueError("need one budget per base")
+    shifted = [shift_weight(b.matched_w, cfg.delta_s) for b in bases]
+    jobs = [
+        _Job(b.theta, w, steps, derive_seed(cfg.seed, "retrain", b.base_index, 1), f"retrain_{b.base_index}_1")
+        for b, w, steps in zip(bases, shifted, budgets)
+    ]
+    retrained, taken = _train_all(jobs, env, ppo_cfg, log_dir)
     ledger.retrain_steps += taken
-    if retrained is None:
-        return None
-    dirs = DirectionSet(
-        base_index=base_index,
-        base_theta=base_theta,
-        base_w=base_w,
-        deltas=[ParameterVector(retrained.data - base_theta.data, base_theta.layout)],
-        weight_deltas=[shifted - base_w],
-        retrained_thetas=[retrained],
-    )
-    dirs.base_returns, *dirs.retrained_returns = _evaluate(
-        [base_theta, retrained], env, cfg.final_eval_episodes, derive_seed(cfg.seed, "eval.final"), ledger
-    )
-    base, moved = dirs.base_returns.values, dirs.retrained_returns[0].values
-    incomparable = not dominates(base, moved) and not dominates(moved, base)
-    dirs.mutual_non_dominated.append(incomparable)
-    if not incomparable:
-        warnings.warn(
-            f"base {base_index} and its retrain are not mutually non-dominated; keeping the direction",
-            stacklevel=2,
+    directions = [
+        DirectionSet(
+            base_index=b.base_index,
+            base_theta=b.theta,
+            base_w=b.matched_w,
+            deltas=[ParameterVector(theta.data - b.theta.data, b.theta.layout)],
+            weight_deltas=[w - b.matched_w],
+            retrained_thetas=[theta],
         )
-    dirs.degenerate = check_degenerate(dirs.direction_matrix())
-    if dirs.degenerate:
-        warnings.warn(f"direction matrix for base {base_index} is rank deficient", stacklevel=2)
-    return dirs
+        for b, w, theta in zip(bases, shifted, retrained)
+        if theta is not None
+    ]
+    returns = _evaluate(
+        [theta for dirs in directions for theta in (dirs.base_theta, dirs.retrained_thetas[0])],
+        env, cfg.final_eval_episodes, derive_seed(cfg.seed, "eval.final"), ledger,
+    )
+    for dirs, base_returns, moved_returns in zip(directions, returns[::2], returns[1::2]):
+        dirs.base_returns, dirs.retrained_returns = base_returns, [moved_returns]
+        base, moved = base_returns.values, moved_returns.values
+        incomparable = not dominates(base, moved) and not dominates(moved, base)
+        dirs.mutual_non_dominated.append(incomparable)
+        if not incomparable:
+            warnings.warn(
+                f"base {dirs.base_index} and its retrain are not mutually non-dominated; keeping the direction",
+                stacklevel=2,
+            )
+        dirs.degenerate = check_degenerate(dirs.direction_matrix())
+        if dirs.degenerate:
+            warnings.warn(f"direction matrix for base {dirs.base_index} is rank deficient", stacklevel=2)
+    return directions
 
 
 def extend(
@@ -321,12 +343,15 @@ def extend(
     id_start: int,
     eval_seed: int,
     ledger: BudgetLedger,
+    base_returns: ReturnVector | None = None,
 ) -> list[CandidatePolicy]:
     """Enumerate and evaluate the full coefficient grid for one base.
 
     No training happens here. The all-zero tuple reproduces the base and
     a lone unit coefficient reproduces that retrained policy, both taken
-    verbatim so the landmarks are bit-exact.
+    verbatim so the landmarks are bit-exact. `base_returns`, the base's
+    returns at this grade, are given to the all-zero copy instead of
+    rolling it out again.
     """
     grid = alpha_grid(cfg.alpha_start, cfg.alpha_end, cfg.delta_alpha)
     base = dirs.base_theta
@@ -356,9 +381,11 @@ def extend(
             stage="extended",
             policy_id=next_id,
         )
+        if cand.is_base:
+            cand.returns = base_returns
         candidates.append(cand)
         next_id += 1
-    _evaluate_into(candidates, env, cfg.eval_episodes, eval_seed, ledger)
+    _evaluate_into([c for c in candidates if c.returns is None], env, cfg.eval_episodes, eval_seed, ledger)
     return candidates
 
 
@@ -525,15 +552,11 @@ def run_pipeline(
     ]
 
     # Stage 2: directions; a base whose retraining diverged is not extended.
-    directions = []
-    for base in bases:
-        k = base.base_index
-        dirs = directional_retrain(
-            base.theta, weights[k], env, cfg, ppo_cfg, dir_budgets[k], k, ledger, log_dir
-        )
-        if dirs is not None:
-            directions.append(dirs)
+    directions = directional_retrain(
+        bases, env, cfg, ppo_cfg, [dir_budgets[b.base_index] for b in bases], ledger, log_dir
+    )
     _evaluate_into(bases, env, cfg.eval_episodes, select_seed, ledger)
+    base_by_index = {b.base_index: b for b in bases}
 
     # Stage 3: training-free extension.
     candidates = []
@@ -541,7 +564,7 @@ def run_pipeline(
     for dirs in directions:
         if dirs.degenerate:
             warnings.warn(f"extending base {dirs.base_index} along a degenerate direction set", stacklevel=2)
-        cands = extend(dirs, cfg, env, next_id, select_seed, ledger)
+        cands = extend(dirs, cfg, env, next_id, select_seed, ledger, base_by_index[dirs.base_index].returns)
         next_id += len(cands)
         candidates.extend(cands)
 
@@ -552,10 +575,24 @@ def run_pipeline(
     ft_budgets = _even_batch_split(total_budget // 5, len(selected), batch)
     fine_tuned = fine_tune(selected, env, cfg, ppo_cfg, ft_budgets, next_id, select_seed, ledger, log_dir)
 
-    # Final-grade re-evaluation of everything entering the archive pool.
+    # Final-grade values of everything entering the archive pool, one
+    # rollout per distinct policy: an extended candidate is its base plus
+    # its coefficients, and stage 2 already rolled out each base (alpha = 0)
+    # and its retrained policy (alpha = 1) at this grade.
     pool = bases + selected + fine_tuned
-    final_returns = _evaluate([c.theta for c in pool], env, cfg.final_eval_episodes, final_seed, ledger)
-    final_values = {c.policy_id: r.values for c, r in zip(pool, final_returns)}
+
+    def policy_key(c: CandidatePolicy):
+        return (c.base_index, c.alphas) if c.stage == "extended" else c.policy_id
+
+    final_returns = {}
+    for dirs in directions:
+        final_returns[dirs.base_index, (0.0,)] = dirs.base_returns
+        final_returns[dirs.base_index, (1.0,)] = dirs.retrained_returns[0]
+    rollouts = {policy_key(c): c.theta for c in pool if policy_key(c) not in final_returns}
+    final_returns.update(
+        zip(rollouts, _evaluate(list(rollouts.values()), env, cfg.final_eval_episodes, final_seed, ledger))
+    )
+    final_values = {c.policy_id: final_returns[policy_key(c)].values for c in pool}
 
     base_archive = non_dominated_filter(
         [FrontPoint(final_values[c.policy_id], c.policy_id, c.stage) for c in bases]

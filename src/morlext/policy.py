@@ -39,7 +39,13 @@ class MlpSpec:
 
 
 class Mlp:
-    """Weights and biases for an MlpSpec; tanh hidden layers, linear output."""
+    """Weights and biases for an MlpSpec; tanh hidden layers, linear output.
+
+    Weights may carry leading axes, (..., in, out) with biases (..., out):
+    a stack of C networks is then one object whose passes take inputs
+    (C, rows, in), and each stacked product makes one BLAS call per
+    network, so every slice rounds like the network alone.
+    """
 
     def __init__(self, spec: MlpSpec, weights: list[np.ndarray], biases: list[np.ndarray]):
         self.spec = spec
@@ -69,17 +75,17 @@ class Mlp:
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = x
         for i in range(self.spec.n_layers - 1):
-            h = np.tanh(h @ self.weights[i] + self.biases[i])
-        return h @ self.weights[-1] + self.biases[-1]
+            h = np.tanh(h @ self.weights[i] + self.biases[i][..., None, :])
+        return h @ self.weights[-1] + self.biases[-1][..., None, :]
 
     def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Forward pass keeping post-activation values for backprop."""
         acts = [x]
         h = x
         for i in range(self.spec.n_layers - 1):
-            h = np.tanh(h @ self.weights[i] + self.biases[i])
+            h = np.tanh(h @ self.weights[i] + self.biases[i][..., None, :])
             acts.append(h)
-        return h @ self.weights[-1] + self.biases[-1], acts
+        return h @ self.weights[-1] + self.biases[-1][..., None, :], acts
 
     def backward(
         self,
@@ -96,11 +102,11 @@ class Mlp:
         """
         delta = grad_out
         for i in range(self.spec.n_layers - 1, -1, -1):
-            np.matmul(acts[i].T, delta, out=grad_w[i])
-            delta.sum(axis=0, out=grad_b[i])
+            np.matmul(np.swapaxes(acts[i], -1, -2), delta, out=grad_w[i])
+            delta.sum(axis=-2, out=grad_b[i])
             if i > 0:
                 # tanh'(z) = 1 - tanh(z)^2, and acts[i] stores tanh(z).
-                delta = (delta @ self.weights[i].T) * (1.0 - acts[i] ** 2)
+                delta = (delta @ np.swapaxes(self.weights[i], -1, -2)) * (1.0 - acts[i] ** 2)
 
 
 @dataclass
@@ -199,16 +205,21 @@ class ParamLayout:
 
 @dataclass
 class ParameterVector:
-    """Flat float64 view of all trainable parameters plus its layout."""
+    """Flat float64 view of all trainable parameters plus its layout.
+
+    `data` may also be a (C, P) matrix holding C vectors of one layout as
+    its rows; `block` then returns stacked (C, *shape) views, and the
+    networks built from them (`unflatten(copy=False)`) are stacks.
+    """
 
     data: np.ndarray
     layout: ParamLayout
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.shape != (self.layout.size,):
+        if self.data.ndim not in (1, 2) or self.data.shape[-1] != self.layout.size:
             raise ValueError(
-                f"data has {self.data.shape[0]} entries but layout describes {self.layout.size}"
+                f"data has shape {self.data.shape} but layout describes {self.layout.size} entries"
             )
 
     def copy(self) -> "ParameterVector":
@@ -216,7 +227,7 @@ class ParameterVector:
 
     def block(self, key: str) -> np.ndarray:
         start, end, shape = self.layout.offsets()[key]
-        return self.data[start:end].reshape(shape)
+        return self.data[..., start:end].reshape(self.data.shape[:-1] + shape)
 
 
 def _mlp_entries(prefix: str, spec: MlpSpec) -> list[tuple[str, tuple[int, ...]]]:
@@ -286,10 +297,11 @@ def unflatten(theta: ParameterVector, copy: bool = True) -> GaussianPolicy | Act
 
 
 def gaussian_log_prob(actions: np.ndarray, means: np.ndarray, log_std: np.ndarray) -> np.ndarray:
-    """Log density of a diagonal Gaussian, rows = samples."""
-    std = np.exp(log_std)
-    z = (actions - means) / std
-    return -0.5 * np.sum(z**2, axis=-1) - np.sum(log_std) - 0.5 * actions.shape[-1] * LOG_2PI
+    """Log density of a diagonal Gaussian, rows = samples: actions and
+    means (..., rows, act_dim), log stds (..., act_dim)."""
+    log_std = log_std[..., None, :]
+    z = (actions - means) / np.exp(log_std)
+    return -0.5 * np.sum(z**2, axis=-1) - np.sum(log_std, axis=-1) - 0.5 * actions.shape[-1] * LOG_2PI
 
 
 @dataclass
@@ -336,7 +348,7 @@ def evaluate_returns(
     mean_net = Mlp(
         spec,
         [np.stack([t.block(f"actor.W{i}") for t in thetas]) for i in range(spec.n_layers)],
-        [np.stack([t.block(f"actor.b{i}") for t in thetas])[:, None, :] for i in range(spec.n_layers)],
+        [np.stack([t.block(f"actor.b{i}") for t in thetas]) for i in range(spec.n_layers)],
     )
     std = np.exp(np.stack([t.block("actor.log_std") for t in thetas]))[:, None, :]
     rng = np.random.default_rng(seed)

@@ -18,12 +18,25 @@ The hot path allocates little: an update builds its network and
 gradient views once (`UpdateViews`), the backward pass writes into them
 and Adam steps in place, with the same floating-point operations in the
 same order as the textbook formulas.
+
+Training runs in lockstep. `train` takes one policy or a stack of C
+policies that share one step budget, each with its own weight, seed and
+log stream. The members' vectors are the rows of one (C, P) matrix whose
+block views are stacked networks, so a rollout step is one stacked actor
+pass over C environments and a minibatch is one stacked `loss_and_grad`
+call and one Adam step on the matrix; a single policy is a stack of one.
+Each member draws from its own generator in the order it would alone,
+and every operation on the stack either works row by row (elementwise
+arithmetic, sums along a row, one norm per row) or makes one BLAS call
+per member (a stacked product), so each member rounds exactly as it
+would trained alone. Per-call numpy overhead, which dominates these
+small networks, is paid once per stack instead of once per member.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import IO
+from dataclasses import dataclass, fields
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -47,7 +60,12 @@ VALUE_PASS_ROWS = 64
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an update produces a non-finite loss."""
+    """Raised when an update produces a non-finite loss; `loss` holds that
+    loss, one entry per member when a stack was updated."""
+
+    def __init__(self, message: str, loss: float | np.ndarray | None = None):
+        super().__init__(message)
+        self.loss = loss
 
 
 @dataclass(frozen=True)
@@ -82,7 +100,8 @@ class PpoConfig:
 
 @dataclass
 class RolloutBuffer:
-    """One batch of on-policy experience, rewards already scalarized."""
+    """One batch of on-policy experience, rewards already scalarized; a
+    stack's arrays lead with the member axis."""
 
     observations: np.ndarray
     actions: np.ndarray
@@ -94,7 +113,7 @@ class RolloutBuffer:
     returns: np.ndarray
 
     def __len__(self) -> int:
-        return self.observations.shape[0]
+        return self.observations.shape[-2]
 
 
 def compute_gae(
@@ -110,22 +129,24 @@ def compute_gae(
     delta_t = r_t + gamma * v_{t+1} * (1 - done_t) - v_t, accumulated
     backwards with factor gamma * lam and cut at episode boundaries;
     returns are advantages + values. `bootstrap_value` stands in for
-    v_{T} after the last stored transition.
+    v_{T} after the last stored transition. The arrays may lead with a
+    member axis: each row is its own sequence, with its own entry of
+    `bootstrap_value`.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     dones = np.asarray(dones, dtype=bool)
     if not (rewards.shape == values.shape == dones.shape):
-        raise ValueError("rewards, values and dones must have equal length")
-    n = rewards.shape[0]
-    next_values = np.append(values[1:], bootstrap_value)
+        raise ValueError("rewards, values and dones must have equal shapes")
+    bootstrap = np.broadcast_to(bootstrap_value, rewards.shape[:-1])[..., None]
+    next_values = np.concatenate([values[..., 1:], bootstrap], axis=-1)
     not_done = 1.0 - dones.astype(np.float64)
     deltas = rewards + gamma * next_values * not_done - values
-    advantages = np.empty(n)
+    advantages = np.empty(rewards.shape)
     acc = 0.0
-    for t in range(n - 1, -1, -1):
-        acc = deltas[t] + gamma * lam * not_done[t] * acc
-        advantages[t] = acc
+    for t in range(rewards.shape[-1] - 1, -1, -1):
+        acc = deltas[..., t] + gamma * lam * not_done[..., t] * acc
+        advantages[..., t] = acc
     return advantages, advantages + values
 
 
@@ -138,7 +159,8 @@ class UpdateViews:
     the same layout with its block views.
 
     Built once per update and shared by every minibatch; the views stay
-    valid while the vector is updated in place.
+    valid while the vector is updated in place. Built from a (C, P)
+    stack, every view is stacked.
     """
 
     def __init__(self, theta: ParameterVector):
@@ -146,7 +168,7 @@ class UpdateViews:
         self.actor = model.policy.mean_net
         self.log_std = model.policy.log_std
         self.critic = model.value_net
-        grad = ParameterVector(np.zeros(theta.layout.size), theta.layout)
+        grad = ParameterVector(np.zeros(theta.data.shape), theta.layout)
         self.grad = grad.data
         self.grad_actor = Mlp.from_vector(grad, "actor", self.actor.spec)
         self.grad_log_std = grad.block("actor.log_std")
@@ -168,31 +190,36 @@ def loss_and_grad(
     `views` must have been built from this `theta`. The gradient is
     written into its buffer, which the next call with the same views
     overwrites; without `views` the returned gradient is a fresh array.
+
+    For a (C, P) stack the minibatch arrays lead with the member axis,
+    the loss is a (C,) array and the gradient (C, P). A non-finite loss
+    in any member raises before any gradient is computed.
     """
     if views is None:
         views = UpdateViews(theta)
-    actor, critic, log_std = views.actor, views.critic, views.log_std
-    n = obs.shape[0]
+    actor, critic = views.actor, views.critic
+    log_std = views.log_std[..., None, :]
+    n = obs.shape[-2]
 
     means, actor_acts = actor.forward_cached(obs)
     std = np.exp(log_std)
     inv_var = 1.0 / std**2
-    log_probs = gaussian_log_prob(actions, means, log_std)
+    log_probs = gaussian_log_prob(actions, means, views.log_std)
     ratios = np.exp(log_probs - log_probs_old)
     clipped = np.clip(ratios, 1.0 - cfg.clip, 1.0 + cfg.clip)
     unclipped_term = ratios * advantages
     clipped_term = clipped * advantages
-    policy_loss = -np.mean(np.minimum(unclipped_term, clipped_term))
+    policy_loss = -np.mean(np.minimum(unclipped_term, clipped_term), axis=-1)
 
     values_out, critic_acts = critic.forward_cached(obs)
-    values = values_out[:, 0]
+    values = values_out[..., 0]
     value_err = values - returns
-    value_loss = np.mean(value_err**2)
+    value_loss = np.mean(value_err**2, axis=-1)
 
-    entropy = float(np.sum(log_std) + 0.5 * log_std.shape[0] * (1.0 + np.log(2.0 * np.pi)))
+    entropy = np.sum(views.log_std, axis=-1) + 0.5 * log_std.shape[-1] * (1.0 + np.log(2.0 * np.pi))
     loss = policy_loss + cfg.value_coeff * value_loss - cfg.entropy_coeff * entropy
-    if not np.isfinite(loss):
-        raise DivergenceError(f"non-finite PPO loss ({loss})")
+    if not np.all(np.isfinite(loss)):
+        raise DivergenceError(f"non-finite PPO loss ({loss})", loss)
 
     # min(.,.) subgradient: take the unclipped branch on ties, matching the
     # convention that the surrogate's gradient vanishes only when clipping
@@ -202,22 +229,26 @@ def loss_and_grad(
     grad_logp = -(grad_ratio * ratios) / n
 
     diff = actions - means
-    grad_means = grad_logp[:, None] * diff * inv_var
-    np.sum(grad_logp[:, None] * (diff**2 * inv_var - 1.0), axis=0, out=views.grad_log_std)
+    grad_means = grad_logp[..., None] * diff * inv_var
+    np.sum(grad_logp[..., None] * (diff**2 * inv_var - 1.0), axis=-2, out=views.grad_log_std)
     views.grad_log_std -= cfg.entropy_coeff  # dH/dlog_std = 1 per dimension
     actor.backward(grad_means, actor_acts, views.grad_actor.weights, views.grad_actor.biases)
 
     grad_values = (2.0 * cfg.value_coeff / n) * value_err
     critic.backward(
-        grad_values[:, None], critic_acts, views.grad_critic.weights, views.grad_critic.biases
+        grad_values[..., None], critic_acts, views.grad_critic.weights, views.grad_critic.biases
     )
-    return float(loss), views.grad
+    return (float(loss) if loss.ndim == 0 else loss), views.grad
 
 
 class Adam:
-    """Adam over a flat parameter vector."""
+    """Adam over a flat parameter vector, or row by row over a (C, P) stack
+    of them (`size` is then that shape)."""
 
-    def __init__(self, size: int, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(
+        self, size: int | tuple[int, ...], lr: float, beta1: float = 0.9, beta2: float = 0.999,
+        eps: float = 1e-8,
+    ):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -251,12 +282,18 @@ class Adam:
         num /= den
         params -= num
 
+    def keep_rows(self, keep: np.ndarray) -> None:
+        """Drop the state of the stack rows where `keep` is False."""
+        self.m, self.v, self._num, self._den = (a[keep] for a in (self.m, self.v, self._num, self._den))
+
 
 def clip_grad_norm(grad: np.ndarray, max_norm: float) -> np.ndarray:
-    """Scale `grad` in place down to global norm `max_norm`; returns it."""
-    norm = float(np.linalg.norm(grad))
-    if norm > max_norm > 0:
-        grad *= max_norm / norm
+    """Scale `grad` in place down to global norm `max_norm`; returns it.
+    A (C, P) stack is clipped row by row."""
+    for row in grad.reshape(-1, grad.shape[-1]):
+        norm = float(np.linalg.norm(row))
+        if norm > max_norm > 0:
+            row *= max_norm / norm
     return grad
 
 
@@ -264,40 +301,76 @@ def ppo_update(
     theta: ParameterVector,
     buffer: RolloutBuffer,
     cfg: PpoConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     optimizer: Adam | None = None,
-) -> ParameterVector:
+) -> ParameterVector | tuple[ParameterVector, dict[int, DivergenceError]]:
     """Run `epochs` passes of minibatch clipped-surrogate descent.
 
-    The input vector is not mutated. Pass `optimizer` to carry Adam
-    moments across batches within a training run.
+    The input vector is not mutated. Pass `optimizer`, an Adam over
+    `theta.data`'s shape, to carry Adam moments across batches within a
+    training run. A single vector raises DivergenceError on a non-finite
+    loss.
+
+    A stack (`theta.data` of shape (C, P), a buffer from
+    `collect_rollout` on it and one generator per member) is updated in
+    lockstep: each minibatch is one stacked `loss_and_grad` call and one
+    Adam step on the matrix. A member whose loss goes non-finite leaves
+    the stack at that minibatch, with its Adam rows, and the others go on
+    as they would alone. The result is then the stack of the remaining
+    members in order and {stack row: DivergenceError} for those that left.
     """
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    # `theta` keeps the caller's shape, which the optimizer's state has;
+    # `stack` views the same memory as (C, P) rows.
     theta = theta.copy()
     if optimizer is None:
-        optimizer = Adam(theta.layout.size, cfg.learning_rate)
-    views = UpdateViews(theta)
+        optimizer = Adam(theta.data.shape, cfg.learning_rate)
+    stack = ParameterVector(theta.data.reshape(len(rngs), -1), theta.layout)
+    arrays = [buffer.observations, buffer.actions, buffer.log_probs, buffer.advantages, buffer.returns]
+    if single:
+        arrays = [a[None] for a in arrays]
+    alive = np.arange(len(rngs))  # buffer row of each stack row
+    errors: dict[int, DivergenceError] = {}
+    views = UpdateViews(stack)
     n = len(buffer)
     mb_size = max(1, n // cfg.minibatches)
+
+    def minibatch_grad(idx: np.ndarray) -> np.ndarray:
+        return loss_and_grad(stack, *(a[alive[:, None], idx] for a in arrays), cfg, views)[1]
+
     for _ in range(cfg.epochs):
-        order = rng.permutation(n)
+        order = np.stack([g.permutation(n) for g in rngs])
         for start in range(0, n, mb_size):
-            idx = order[start : start + mb_size]
-            _, grad = loss_and_grad(
-                theta,
-                buffer.observations[idx],
-                buffer.actions[idx],
-                buffer.log_probs[idx],
-                buffer.advantages[idx],
-                buffer.returns[idx],
-                cfg,
-                views,
-            )
-            optimizer.step(theta.data, clip_grad_norm(grad, cfg.max_grad_norm))
-    return theta
+            idx = order[:, start : start + mb_size]
+            try:
+                grad = minibatch_grad(idx)
+            except DivergenceError as err:
+                keep = np.isfinite(err.loss)
+                for row in np.flatnonzero(~keep):
+                    errors[int(alive[row])] = DivergenceError(f"non-finite PPO loss ({err.loss[row]})")
+                if single:
+                    raise errors[0] from None
+                alive, idx, order = alive[keep], idx[keep], order[keep]
+                rngs = [g for g, k in zip(rngs, keep) if k]
+                optimizer.keep_rows(keep)
+                theta = stack = ParameterVector(stack.data[keep], stack.layout)
+                if not rngs:
+                    return stack, errors
+                views = UpdateViews(stack)
+                # The other members' losses were finite, and recomputing them is exact.
+                grad = minibatch_grad(idx)
+            optimizer.step(theta.data, clip_grad_norm(grad, cfg.max_grad_norm).reshape(theta.data.shape))
+    return theta if single else (stack, errors)
 
 
 # ---------------------------------------------------------------------------
 # Rollout collection and the training loop
+
+
+def _reset(env: VectorRewardEnv, rngs: list[np.random.Generator]) -> np.ndarray:
+    """One fresh initial observation per member, each from its own generator."""
+    return np.concatenate([env.reset_batch(1, g) for g in rngs])
 
 
 def collect_rollout(
@@ -305,64 +378,80 @@ def collect_rollout(
     env: VectorRewardEnv,
     weight: np.ndarray,
     cfg: PpoConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     carry: tuple[np.ndarray, int] | None,
 ) -> tuple[RolloutBuffer, tuple[np.ndarray, int]]:
     """Gather one on-policy batch, scalarizing rewards at storage time.
 
     Episodes auto-reset at the horizon; `carry` is the (observation,
     step index) of an episode left unfinished by the previous batch.
+
+    A stack (`theta.data` of shape (C, P), weights (C, d) and one
+    generator per member) steps C environments in lockstep, one stacked
+    actor pass per step, each member drawing its noise and resets from
+    its own generator; the buffer's arrays and the carried observations
+    lead with the member axis. The members share the step index, since
+    they start together and the horizon is fixed.
     """
-    model = unflatten(theta, copy=False)
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
+    c = len(rngs)
+    model = unflatten(ParameterVector(theta.data.reshape(c, -1), theta.layout), copy=False)
     actor = model.policy.mean_net
     log_std = model.policy.log_std
     std = np.exp(log_std)
+    weights = np.reshape(weight, (c, env.spec.d, 1))
     horizon = env.spec.horizon
 
     n = cfg.steps_per_batch
-    obs_buf = np.empty((n, env.spec.obs_dim))
-    act_buf = np.empty((n, env.spec.act_dim))
-    mean_buf = np.empty((n, env.spec.act_dim))
-    rew_buf = np.empty(n)
-    done_buf = np.empty(n, dtype=bool)
+    obs_buf = np.empty((c, n, env.spec.obs_dim))
+    act_buf = np.empty((c, n, env.spec.act_dim))
+    mean_buf = np.empty((c, n, env.spec.act_dim))
+    rew_buf = np.empty((c, n))
+    done_buf = np.empty((c, n), dtype=bool)
+    noise = np.empty((c, env.spec.act_dim))
 
     if carry is None:
-        obs = env.reset_batch(1, rng)[0]
+        obs = _reset(env, rngs)
         step_index = 0
     else:
         obs, step_index = carry
+        obs = obs.reshape(c, -1)
 
     for t in range(n):
-        mean = actor.forward(obs[None, :])[0]
-        noise = rng.standard_normal(env.spec.act_dim)
+        mean = actor.forward(obs[:, None, :])[:, 0]
+        for g, row in zip(rngs, noise):
+            g.standard_normal(out=row)
         action = mean + std * noise
-        next_obs, rewards = env.step_batch(obs[None, :], action[None, :])
+        next_obs, rewards = env.step_batch(obs, action)
         step_index += 1
         done = step_index >= horizon
-        obs_buf[t] = obs
-        act_buf[t] = action
-        mean_buf[t] = mean
-        # Row by row on purpose: a batched (n, d) @ (d,) goes through gemv,
-        # which rounds some rows differently.
-        rew_buf[t] = rewards[0] @ weight
-        done_buf[t] = done
+        obs_buf[:, t] = obs
+        act_buf[:, t] = action
+        mean_buf[:, t] = mean
+        # One (1, d) @ (d, 1) dot product per member on purpose: a batched
+        # (n, d) @ (d,) goes through gemv, which rounds some rows differently.
+        rew_buf[:, t] = (rewards[:, None, :] @ weights)[:, 0, 0]
+        done_buf[:, t] = done
         if done:
-            obs = env.reset_batch(1, rng)[0]
+            obs = _reset(env, rngs)
             step_index = 0
         else:
-            obs = next_obs[0]
+            obs = next_obs
 
     logp_buf = gaussian_log_prob(act_buf, mean_buf, log_std)
     critic = model.value_net
-    values = np.empty(n)
+    values = np.empty((c, n))
     for start in range(0, n, VALUE_PASS_ROWS):
         rows = slice(start, start + VALUE_PASS_ROWS)
-        values[rows] = critic.forward(obs_buf[rows])[:, 0]
-    bootstrap = 0.0 if done_buf[-1] else float(critic.forward(obs[None, :])[0, 0])
+        values[:, rows] = critic.forward(obs_buf[:, rows])[..., 0]
+    bootstrap = 0.0 if done_buf[0, -1] else critic.forward(obs[:, None, :])[:, 0, 0]
     advantages, returns = compute_gae(
         rew_buf, values, done_buf, cfg.gamma, cfg.gae_lambda, bootstrap
     )
-    advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
+    advantages = (advantages - advantages.mean(axis=-1, keepdims=True)) / (
+        advantages.std(axis=-1, keepdims=True) + 1e-8
+    )
     buffer = RolloutBuffer(
         observations=obs_buf,
         actions=act_buf,
@@ -373,6 +462,9 @@ def collect_rollout(
         advantages=advantages,
         returns=returns,
     )
+    if single:
+        buffer = RolloutBuffer(**{f.name: getattr(buffer, f.name)[0] for f in fields(buffer)})
+        return buffer, (obs[0], step_index)
     return buffer, (obs, step_index)
 
 
@@ -382,40 +474,78 @@ def steps_taken(total_steps: int, cfg: PpoConfig) -> int:
 
 
 def train(
-    theta: ParameterVector,
+    theta: ParameterVector | Sequence[ParameterVector],
     env: VectorRewardEnv,
-    weight: np.ndarray,
+    weight: np.ndarray | Sequence[np.ndarray],
     total_steps: int,
     cfg: PpoConfig,
-    seed: int,
-    log_stream: IO[str] | None = None,
-) -> ParameterVector:
+    seed: int | Sequence[int],
+    log_stream: IO[str] | None | Sequence[IO[str] | None] = None,
+) -> ParameterVector | list[ParameterVector | DivergenceError]:
     """Train under one preference weight until the step budget is consumed.
 
     Whole batches only: the number of environment steps taken is
     `steps_taken(total_steps, cfg)`. A budget below one batch returns the
-    input unchanged. Fully reproducible from (theta, seed).
+    input unchanged. Fully reproducible from (theta, seed). A non-finite
+    loss raises DivergenceError.
+
+    Sequences of C start vectors (one layout), weights, seeds and log
+    streams train as one lockstep stack on the shared budget, and a list
+    comes back in member order, each vector bit-identical to training
+    that member alone. A member whose loss goes non-finite leaves the
+    stack at that minibatch, and its DivergenceError takes the place of
+    its vector in the list.
     """
-    weight = check_weight(weight, env.spec.d)
-    if theta.layout.specs[1] is None:
+    single = isinstance(theta, ParameterVector)
+    if single:
+        thetas, weights, seeds, logs = [theta], [weight], [seed], [log_stream]
+    else:
+        thetas, weights, seeds = list(theta), list(weight), list(seed)
+        logs = [None] * len(thetas) if log_stream is None else list(log_stream)
+        if not len(thetas) == len(weights) == len(seeds) == len(logs):
+            raise ValueError("need one weight, seed and log stream per policy")
+    weights = np.stack([check_weight(w, env.spec.d) for w in weights])
+    layout = thetas[0].layout
+    if layout.specs[1] is None:
         raise ValueError("parameter vector has no critic block; train needs an actor-critic layout")
     n_batches = steps_taken(total_steps, cfg) // cfg.steps_per_batch
+    results: list[ParameterVector | DivergenceError] = [t.copy() for t in thetas]
     if n_batches == 0:
-        return theta.copy()
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    optimizer = Adam(theta.layout.size, cfg.learning_rate)
+        return results[0] if single else results
+    members = list(range(len(thetas)))  # member of each stack row
+    stack = ParameterVector(np.stack([t.data for t in thetas]), layout)
+    rngs = [np.random.default_rng(np.random.SeedSequence(s)) for s in seeds]
+    optimizer = Adam(stack.data.shape, cfg.learning_rate)
     carry = None
     for batch_index in range(n_batches):
-        buffer, carry = collect_rollout(theta, env, weight, cfg, rng, carry)
-        theta = ppo_update(theta, buffer, cfg, rng, optimizer)
-        if log_stream is not None:
-            mean_ep = float(buffer.scalar_rewards.sum() / max(1, buffer.dones.sum()))
-            log_stream.write(
-                f"steps={(batch_index + 1) * cfg.steps_per_batch} "
-                f"scalar_return_per_episode={mean_ep:.4f} "
-                f"value_residual={float(np.mean((buffer.value_estimates - buffer.returns) ** 2)):.4f}\n"
-            )
-    return theta
+        buffer, carry = collect_rollout(stack, env, weights, cfg, rngs, carry)
+        stack, errors = ppo_update(stack, buffer, cfg, rngs, optimizer)
+        for row, member in enumerate(members):
+            if row in errors:
+                results[member] = errors[row]
+            elif logs[member] is not None:
+                mean_ep = float(buffer.scalar_rewards[row].sum() / max(1, buffer.dones[row].sum()))
+                residual = float(np.mean((buffer.value_estimates[row] - buffer.returns[row]) ** 2))
+                logs[member].write(
+                    f"steps={(batch_index + 1) * cfg.steps_per_batch} "
+                    f"scalar_return_per_episode={mean_ep:.4f} "
+                    f"value_residual={residual:.4f}\n"
+                )
+        if errors:
+            keep = [row for row in range(len(members)) if row not in errors]
+            members = [members[row] for row in keep]
+            rngs = [rngs[row] for row in keep]
+            weights = weights[keep]
+            carry = (carry[0][keep], carry[1])
+            if not members:
+                break
+    for row, member in enumerate(members):
+        results[member] = ParameterVector(stack.data[row].copy(), layout)
+    if single:
+        if isinstance(results[0], DivergenceError):
+            raise results[0]
+        return results[0]
+    return results
 
 
 def init_actor_critic(env: VectorRewardEnv, seed: int, hidden: tuple[int, ...] = (64, 64)) -> ParameterVector:

@@ -1,10 +1,17 @@
 import csv
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import morlext
 from morlext.cli import load_run_config, main, write_config_snapshot
 from morlext.extension import LleConfig
 from morlext.pareto import load_front_table
@@ -192,7 +199,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     # Stage budgets come from the 3:1:1 split and the seed from [run], so
     # no [lle] key sets either.
     cases = [("run", "bogus_key", "3"), ("lle", "t_init", "63"), ("lle", "t_dir", "64"),
-             ("lle", "t_ref", "0"), ("lle", "seed", "7"), ("run", "total_budget", "inf")]
+             ("lle", "t_ref", "0"), ("lle", "seed", "7"), ("run", "total_budget", "inf"),
+             ("run", "total_budget", "lots"), ("run", "seed", "1.5")]
     for section, key, value in cases:
         sections = {"run": f"env = dual_goal\noutput_dir = {tmp_path / 'x'}\n",
                     "ppo": "steps_per_batch = 64\n", "lle": ""}
@@ -220,6 +228,28 @@ def test_existing_output_dir_is_rejected_untouched(tmp_path, monkeypatch, capsys
     assert "already exists" in capsys.readouterr().err
     assert [p.name for p in out.iterdir()] == ["notes.txt"]
     assert (out / "notes.txt").read_text() == "an earlier run"
+    assert not list(tmp_path.glob(".run.partial-*"))
+
+
+def test_sigterm_mid_run_leaves_nothing_behind(tmp_path):
+    config = tmp_path / "c.ini"
+    out = tmp_path / "run"
+    config.write_text(f"[run]\nenv = dual_goal\noutput_dir = {out}\ntotal_budget = 200000\n[lle]\nk = 3\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(morlext.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "morlext.cli", "run", "--config", str(config)], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob(".run.partial-*")) and time.monotonic() < deadline:
+            assert proc.poll() is None, "the run ended before it was signalled"
+            time.sleep(0.05)
+        assert list(tmp_path.glob(".run.partial-*")), "the run never created its partial directory"
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.wait()
+    assert not out.exists()
     assert not list(tmp_path.glob(".run.partial-*"))
 
 
@@ -270,7 +300,7 @@ INVALID_FIELDS = [
     ("ppo", "learning_rate", "-1"), ("ppo", "learning_rate", "0"),
     ("lle", "eval_episodes", "0"), ("lle", "final_eval_episodes", "0"),
     ("lle", "alpha_end", "inf"), ("lle", "delta_alpha", "nan"), ("ppo", "max_grad_norm", "nan"),
-    ("ppo", "clip", "nan"), ("ppo", "value_coeff", "inf"),
+    ("ppo", "clip", "nan"), ("ppo", "value_coeff", "inf"), ("lle", "k", "six"),
 ]
 
 

@@ -9,8 +9,11 @@ from morlext.envs import DualGoal, EnvSpec, VectorRewardEnv
 from morlext.extension import (
     EVAL_CHUNK,
     BudgetLedger,
+    CandidatePolicy,
     LleConfig,
     _evaluate,
+    _Job,
+    _train_all,
     alpha_grid,
     clip_to_simplex,
     directional_retrain,
@@ -23,7 +26,7 @@ from morlext.extension import (
 )
 from morlext.pareto import dominates, hypervolume
 from morlext.policy import evaluate_returns
-from morlext.ppo import DivergenceError, PpoConfig, init_actor_critic
+from morlext.ppo import DivergenceError, PpoConfig, init_actor_critic, train
 from morlext.seeding import derive_seed
 
 
@@ -119,6 +122,13 @@ def test_clip_to_simplex():
 # Directions and extension (tiny training budgets)
 
 
+def base_policy(theta, weight, k=0):
+    """Base k as the pipeline holds it: a zero-coefficient candidate with id k."""
+    return CandidatePolicy(
+        theta=theta, matched_w=weight, raw_w=weight, base_index=k, alphas=(0.0,), stage="extended", policy_id=k
+    )
+
+
 @pytest.fixture(scope="module")
 def small_run():
     env = DualGoal()
@@ -127,7 +137,9 @@ def small_run():
     base_w = np.array([0.5, 0.5])
     theta = init_actor_critic(env, seed=derive_seed(0, "net", 0), hidden=(8, 8))
     ledger = BudgetLedger()
-    dirs = directional_retrain(theta, base_w, env, cfg, ppo_cfg, 2 * ppo_cfg.steps_per_batch, 0, ledger)
+    (dirs,) = directional_retrain(
+        [base_policy(theta, base_w)], env, cfg, ppo_cfg, [2 * ppo_cfg.steps_per_batch], ledger
+    )
     return env, cfg, ppo_cfg, dirs, ledger
 
 
@@ -145,7 +157,9 @@ def test_zero_budget_retrain_is_degenerate():
     ppo_cfg = tiny_ppo()
     theta = init_actor_critic(env, seed=1, hidden=(8, 8))
     with pytest.warns(UserWarning, match="rank deficient"):
-        dirs = directional_retrain(theta, np.array([0.5, 0.5]), env, cfg, ppo_cfg, 0, 0, BudgetLedger())
+        (dirs,) = directional_retrain(
+            [base_policy(theta, np.array([0.5, 0.5]))], env, cfg, ppo_cfg, [0], BudgetLedger()
+        )
     assert dirs.degenerate
     assert np.allclose(dirs.deltas[0].data, 0.0)
 
@@ -236,6 +250,32 @@ def test_fine_tune_trains_under_matched_weight(small_run):
     assert all(not np.array_equal(t.theta.data, c.theta.data) for t, c in zip(tuned, cands))
 
 
+def test_train_all_stacks_equal_budgets_and_returns_job_order(monkeypatch, tmp_path):
+    env = DualGoal()
+    ppo_cfg = tiny_ppo()
+    batch = ppo_cfg.steps_per_batch
+    jobs = [
+        _Job(init_actor_critic(env, seed=60 + j, hidden=(8, 8)), np.array([w, 1.0 - w]), steps, 70 + j,
+             f"job_{j}")
+        for j, (w, steps) in enumerate([(1.0, 2 * batch), (0.75, batch), (0.5, 2 * batch), (0.0, batch)])
+    ]
+    calls = []
+    real = extension.train
+
+    def recording(thetas, env, weights, total_steps, cfg, seeds, log_streams=None):
+        calls.append((total_steps, list(seeds)))
+        return real(thetas, env, weights, total_steps, cfg, seeds, log_streams)
+
+    monkeypatch.setattr(extension, "train", recording)
+    trained, taken = _train_all(jobs, env, ppo_cfg, tmp_path)
+    assert calls == [(2 * batch, [70, 72]), (batch, [71, 73])]
+    assert taken == 6 * batch
+    for job, theta in zip(jobs, trained):
+        alone = train(job.theta, env, job.weight, job.steps, ppo_cfg, job.seed)
+        assert np.array_equal(theta.data, alone.data)
+        assert len((tmp_path / f"{job.name}.log").read_text().splitlines()) == job.steps // batch
+
+
 # ---------------------------------------------------------------------------
 # Batched evaluation
 
@@ -302,6 +342,37 @@ def test_pipeline_budget_ledger(pipeline_result):
     assert ledger.training_steps <= ledger.total_budget
     # each stage consumed its share up to one batch of slack per run
     assert 3 * 2000 // 5 - ledger.init_steps < cfg.K * ppo_cfg.steps_per_batch
+
+
+def test_pipeline_evaluates_each_policy_once_per_grade(reference_k3):
+    # Bases and retrained policies are rolled out at final grade in stage 2,
+    # and the grid's alpha = 0 copies take the bases' selection-grade
+    # returns; a selected alpha = 0 or 1 copy takes the final-grade returns
+    # of the policy it copies. Everything else is rolled out once per grade.
+    result, cfg = reference_k3, tiny_cfg(K=3)
+    horizon = DualGoal().spec.horizon
+    n_dirs = len(result.directions)
+    zero_copies = [c for c in result.candidates if c.is_base]
+    selected_copies = [c for c in result.selected if c.alphas in ((0.0,), (1.0,))]
+    assert len(zero_copies) == n_dirs > 0
+    assert {c.alphas for c in selected_copies} == {(0.0,), (1.0,)}
+    final_grade = (
+        len(result.bases) + n_dirs + len(result.selected) - len(selected_copies) + len(result.fine_tuned)
+    )
+    select_grade = len(result.bases) + len(result.candidates) - n_dirs + len(result.fine_tuned)
+    assert result.ledger.eval_steps == horizon * (
+        cfg.final_eval_episodes * final_grade + cfg.eval_episodes * select_grade
+    )
+    bases = {b.base_index: b for b in result.bases}
+    for copy in zero_copies:
+        base = bases[copy.base_index]
+        assert np.array_equal(copy.theta.data, base.theta.data)
+        assert np.array_equal(copy.returns.values, base.returns.values)
+    final_seed = derive_seed(cfg.seed, "eval.final")
+    for policy_id, values in result.final_values.items():
+        theta = result.policies_by_id[policy_id].theta
+        fresh = evaluate_returns(theta, DualGoal(), cfg.final_eval_episodes, final_seed)
+        assert np.array_equal(values, fresh.values)
 
 
 def test_pipeline_hv_chain(pipeline_result):
@@ -372,16 +443,16 @@ DIVERGE_BUDGET = 1000
 
 
 def diverging_train(monkeypatch, bad_seeds):
-    """Make `extension.train` raise DivergenceError for the given seeds;
-    returns the list of seeds it is called with."""
+    """Make `extension.train` report DivergenceError for the group members
+    with the given seeds; returns the list of seeds it is called with."""
     real = extension.train
     seen = []
 
-    def fake(theta, env, weight, total_steps, cfg, seed, log_stream=None):
-        seen.append(seed)
-        if seed in bad_seeds:
-            raise DivergenceError("non-finite PPO loss (nan)")
-        return real(theta, env, weight, total_steps, cfg, seed, log_stream)
+    def fake(thetas, env, weights, total_steps, cfg, seeds, log_streams=None):
+        seen.extend(seeds)
+        results = real(thetas, env, weights, total_steps, cfg, seeds, log_streams)
+        return [DivergenceError("non-finite PPO loss (nan)") if seed in bad_seeds else result
+                for seed, result in zip(seeds, results)]
 
     monkeypatch.setattr(extension, "train", fake)
     return seen
@@ -479,7 +550,7 @@ def test_retraining_moves_performance_toward_new_preference():
         cfg = LleConfig(K=2, seed=seed, final_eval_episodes=32)
         with w_mod.catch_warnings():
             w_mod.simplefilter("ignore")
-            dirs = directional_retrain(base, base_w, env, cfg, ppo_cfg, 5_120, 0, BudgetLedger())
+            (dirs,) = directional_retrain([base_policy(base, base_w)], env, cfg, ppo_cfg, [5_120], BudgetLedger())
         shifted_w = base_w + dirs.weight_deltas[0]
         differs = not np.array_equal(dirs.base_returns.values, dirs.retrained_returns[0].values)
         improved = float(shifted_w @ dirs.retrained_returns[0].values) >= float(

@@ -416,3 +416,55 @@ def test_loss_and_grad_result_survives_next_call():
     _, other = loss_and_grad(theta, *frozen_minibatch(env, theta, seed=1), cfg)
     assert not np.array_equal(other, kept)
     assert np.array_equal(grad, kept)
+
+
+# ---------------------------------------------------------------------------
+# Lockstep stacks
+
+
+def stack_members(env, n=3):
+    """Start vectors, weights and seeds that differ in every member."""
+    thetas = [init_actor_critic(env, seed=30 + k) for k in range(n)]
+    weights = [np.array([1.0, 0.0]), np.array([0.3, 0.7]), np.array([0.5, 0.5])][:n]
+    return thetas, weights, [40 + k for k in range(n)]
+
+
+def test_stack_equals_single_runs_bit_for_bit():
+    import io
+
+    env = DualGoal()
+    cfg = small_cfg()
+    steps = 3 * cfg.steps_per_batch
+    thetas, weights, seeds = stack_members(env)
+    logs = [io.StringIO() for _ in thetas]
+    stacked = train(thetas, env, weights, steps, cfg, seeds, logs)
+    assert len(stacked) == 3
+    for theta, w, seed, got, log in zip(thetas, weights, seeds, stacked, logs):
+        alone_log = io.StringIO()
+        alone = train(theta, env, w, steps, cfg, seed, alone_log)
+        assert not np.array_equal(got.data, theta.data)
+        assert np.array_equal(got.data, alone.data)
+        assert log.getvalue() == alone_log.getvalue() != ""
+    ref = _reference_train(thetas[0], env, weights[0], steps, cfg, seeds[0])
+    assert np.array_equal(stacked[0].data, ref.data)
+
+
+def test_stack_member_with_inf_log_std_diverges_alone():
+    from morlext.ppo import DivergenceError
+
+    env = DualGoal()
+    cfg = small_cfg()
+    steps = 2 * cfg.steps_per_batch
+    thetas, weights, seeds = stack_members(env)
+    bad = thetas[1].copy()
+    bad.block("actor.log_std")[:] = np.inf
+    thetas[1] = bad
+    with np.errstate(invalid="ignore"):
+        stacked = train(thetas, env, weights, steps, cfg, seeds)
+        with pytest.raises(DivergenceError) as alone_err:
+            train(bad, env, weights[1], steps, cfg, seeds[1])
+    assert isinstance(stacked[1], DivergenceError)
+    assert str(stacked[1]) == str(alone_err.value)
+    for k in (0, 2):
+        alone = train(thetas[k], env, weights[k], steps, cfg, seeds[k])
+        assert np.array_equal(stacked[k].data, alone.data)
