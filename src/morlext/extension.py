@@ -22,11 +22,11 @@ Every training run of every stage goes through one runner with one
 divergence rule: a run whose loss goes non-finite is warned about and
 dropped, together with everything built from it (a base's directions
 and grid, a retrain's grid, a fine-tune's output), and the run fails
-only when fewer than two bases train. The runner trains each stage's
-runs of equal step budget as one lockstep stack. Evaluation is a pure
-function of (theta, episodes, seed), so identical policies get
-identical returns without a cache, and each (theta, episodes, seed) is
-rolled out once: a grid's alpha = 0 and alpha = 1 copies take the
+only when fewer than two bases train. The runner trains all of a
+stage's runs as one lockstep stack, whatever their budgets. Evaluation
+is a pure function of (theta, episodes, seed), so identical policies
+get identical returns without a cache, and each (theta, episodes, seed)
+is rolled out once: a grid's alpha = 0 and alpha = 1 copies take the
 returns of the base and the retrained policy they copy.
 """
 
@@ -82,6 +82,10 @@ class LleConfig:
             raise ValueError("eval_episodes must be >= 1")
         if self.final_eval_episodes < 1:
             raise ValueError("final_eval_episodes must be >= 1")
+        # The root seed is a 32-bit word, so a seed outside that range
+        # would repeat the run of the seed it wraps to.
+        if not 0 <= self.seed < 2**32:
+            raise ValueError(f"seed must be in [0, 2**32), got {self.seed}")
 
 
 def alpha_grid(alpha_start: float, alpha_end: float, delta_alpha: float) -> np.ndarray:
@@ -170,7 +174,9 @@ class CandidatePolicy:
 
     @property
     def is_base(self) -> bool:
-        return all(a == 0.0 for a in self.alphas)
+        """The grid's verbatim copy of its base: an extended policy with
+        every coefficient zero (a fine-tuned copy of it has moved away)."""
+        return self.stage == "extended" and all(a == 0.0 for a in self.alphas)
 
 
 @dataclass
@@ -244,28 +250,24 @@ class _Job:
 def _train_all(
     jobs: list[_Job], env: VectorRewardEnv, ppo_cfg: PpoConfig, log_dir: Path | None
 ) -> tuple[list[ParameterVector | None], int]:
-    """Train the jobs, each group of equal step budget as one lockstep
-    stack (one `train` call), groups in order of their first job.
+    """Train the jobs as one lockstep stack (one `train` call), each job
+    on its own step budget.
 
     Returns the trained vectors in job order, with None for each job whose
     loss went non-finite (warned about once, in job order, and dropped),
     and the environment steps taken by the runs that completed.
     """
-    if jobs and log_dir is not None:
+    if not jobs:
+        return [], 0
+    if log_dir is not None:
         log_dir.mkdir(parents=True, exist_ok=True)
-    groups: dict[int, list[int]] = {}
-    for i, job in enumerate(jobs):
-        groups.setdefault(job.steps, []).append(i)
-    outcomes: list[ParameterVector | DivergenceError | None] = [None] * len(jobs)
-    for steps, members in groups.items():
-        group = [jobs[i] for i in members]
-        with contextlib.ExitStack() as files:
-            logs = [files.enter_context(open(log_dir / f"{job.name}.log", "w")) if log_dir else None
-                    for job in group]
-            results = train([job.theta for job in group], env, [job.weight for job in group], steps,
-                            ppo_cfg, [job.seed for job in group], logs)
-        for i, result in zip(members, results):
-            outcomes[i] = result
+    with contextlib.ExitStack() as files:
+        logs = [files.enter_context(open(log_dir / f"{job.name}.log", "w")) if log_dir else None
+                for job in jobs]
+        outcomes = train(
+            [job.theta for job in jobs], env, [job.weight for job in jobs], max(job.steps for job in jobs),
+            ppo_cfg, [job.seed for job in jobs], logs, member_steps=[job.steps for job in jobs],
+        )
     trained, taken = [], 0
     for job, outcome in zip(jobs, outcomes):
         if isinstance(outcome, DivergenceError):

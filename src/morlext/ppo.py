@@ -20,11 +20,14 @@ and Adam steps in place, with the same floating-point operations in the
 same order as the textbook formulas.
 
 Training runs in lockstep. `train` takes one policy or a stack of C
-policies that share one step budget, each with its own weight, seed and
-log stream. The members' vectors are the rows of one (C, P) matrix whose
-block views are stacked networks, so a rollout step is one stacked actor
-pass over C environments and a minibatch is one stacked `loss_and_grad`
-call and one Adam step on the matrix; a single policy is a stack of one.
+policies, each with its own weight, seed, log stream and step budget.
+The members' vectors are the rows of one (C, P) matrix whose block views
+are stacked networks, so a rollout step is one stacked actor pass over C
+environments and a minibatch is one stacked `loss_and_grad` call and one
+Adam step on the matrix; a single policy is a stack of one. A member
+leaves the stack, with its Adam rows, generator and carried observation,
+after its last whole batch or at the minibatch where its loss goes
+non-finite, and the others go on as they would alone.
 Each member draws from its own generator in the order it would alone,
 and every operation on the stack either works row by row (elementwise
 arithmetic, sums along a row, one norm per row) or makes one BLAS call
@@ -96,6 +99,10 @@ class PpoConfig:
             raise ValueError("clip must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not self.value_coeff >= 0:
+            raise ValueError("value_coeff must be >= 0")
+        if not self.max_grad_norm > 0:
+            raise ValueError("max_grad_norm must be positive")
 
 
 @dataclass
@@ -481,6 +488,8 @@ def train(
     cfg: PpoConfig,
     seed: int | Sequence[int],
     log_stream: IO[str] | None | Sequence[IO[str] | None] = None,
+    *,
+    member_steps: Sequence[int] | None = None,
 ) -> ParameterVector | list[ParameterVector | DivergenceError]:
     """Train under one preference weight until the step budget is consumed.
 
@@ -490,11 +499,14 @@ def train(
     loss raises DivergenceError.
 
     Sequences of C start vectors (one layout), weights, seeds and log
-    streams train as one lockstep stack on the shared budget, and a list
-    comes back in member order, each vector bit-identical to training
-    that member alone. A member whose loss goes non-finite leaves the
-    stack at that minibatch, and its DivergenceError takes the place of
-    its vector in the list.
+    streams train as one lockstep stack, and a list comes back in member
+    order, each vector bit-identical to training that member alone.
+    `total_steps` is every member's budget unless `member_steps` gives
+    one per member, each at most `total_steps`. A member leaves the stack
+    after its last whole batch, and one whose budget is below one batch
+    never joins it and comes back unchanged. A member whose loss goes
+    non-finite leaves the stack at that minibatch, and its DivergenceError
+    takes the place of its vector in the list.
     """
     single = isinstance(theta, ParameterVector)
     if single:
@@ -502,23 +514,28 @@ def train(
     else:
         thetas, weights, seeds = list(theta), list(weight), list(seed)
         logs = [None] * len(thetas) if log_stream is None else list(log_stream)
-        if not len(thetas) == len(weights) == len(seeds) == len(logs):
-            raise ValueError("need one weight, seed and log stream per policy")
+    budgets = [total_steps] * len(thetas) if member_steps is None else list(member_steps)
+    if not len(thetas) == len(weights) == len(seeds) == len(logs) == len(budgets):
+        raise ValueError("need one weight, seed, log stream and step budget per policy")
+    if max(budgets) > total_steps:
+        raise ValueError("a member's step budget exceeds total_steps")
     weights = np.stack([check_weight(w, env.spec.d) for w in weights])
     layout = thetas[0].layout
     if layout.specs[1] is None:
         raise ValueError("parameter vector has no critic block; train needs an actor-critic layout")
-    n_batches = steps_taken(total_steps, cfg) // cfg.steps_per_batch
+    n_batches = [steps_taken(steps, cfg) // cfg.steps_per_batch for steps in budgets]
     results: list[ParameterVector | DivergenceError] = [t.copy() for t in thetas]
-    if n_batches == 0:
+    members = [m for m, n in enumerate(n_batches) if n > 0]  # member of each stack row
+    if not members:
         return results[0] if single else results
-    members = list(range(len(thetas)))  # member of each stack row
-    stack = ParameterVector(np.stack([t.data for t in thetas]), layout)
-    rngs = [np.random.default_rng(np.random.SeedSequence(s)) for s in seeds]
+    stack = ParameterVector(np.stack([thetas[m].data for m in members]), layout)
+    weights = weights[members]
+    rngs = [np.random.default_rng(np.random.SeedSequence(seeds[m])) for m in members]
     optimizer = Adam(stack.data.shape, cfg.learning_rate)
     carry = None
-    for batch_index in range(n_batches):
+    for batch_index in range(max(n_batches)):
         buffer, carry = collect_rollout(stack, env, weights, cfg, rngs, carry)
+        # ppo_update already drops the diverged members' stack and Adam rows.
         stack, errors = ppo_update(stack, buffer, cfg, rngs, optimizer)
         for row, member in enumerate(members):
             if row in errors:
@@ -531,16 +548,20 @@ def train(
                     f"scalar_return_per_episode={mean_ep:.4f} "
                     f"value_residual={residual:.4f}\n"
                 )
-        if errors:
-            keep = [row for row in range(len(members)) if row not in errors]
-            members = [members[row] for row in keep]
-            rngs = [rngs[row] for row in keep]
-            weights = weights[keep]
-            carry = (carry[0][keep], carry[1])
-            if not members:
-                break
-    for row, member in enumerate(members):
-        results[member] = ParameterVector(stack.data[row].copy(), layout)
+        # A member whose last batch this was leaves with its row of the stack.
+        alive = [row for row in range(len(members)) if row not in errors]
+        done = np.array([n_batches[members[row]] == batch_index + 1 for row in alive], dtype=bool)
+        for stack_row in np.flatnonzero(done):
+            results[members[alive[stack_row]]] = ParameterVector(stack.data[stack_row].copy(), layout)
+        optimizer.keep_rows(~done)
+        stack = ParameterVector(stack.data[~done], layout)
+        keep = [row for row, finished in zip(alive, done) if not finished]
+        members = [members[row] for row in keep]
+        rngs = [rngs[row] for row in keep]
+        weights = weights[keep]
+        carry = (carry[0][keep], carry[1])
+        if not members:
+            break
     if single:
         if isinstance(results[0], DivergenceError):
             raise results[0]

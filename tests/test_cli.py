@@ -200,7 +200,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     # no [lle] key sets either.
     cases = [("run", "bogus_key", "3"), ("lle", "t_init", "63"), ("lle", "t_dir", "64"),
              ("lle", "t_ref", "0"), ("lle", "seed", "7"), ("run", "total_budget", "inf"),
-             ("run", "total_budget", "lots"), ("run", "seed", "1.5")]
+             ("run", "total_budget", "lots"), ("run", "seed", "1.5"), ("run", "seed", "4294967296"),
+             ("run", "seed", "-1")]
     for section, key, value in cases:
         sections = {"run": f"env = dual_goal\noutput_dir = {tmp_path / 'x'}\n",
                     "ppo": "steps_per_batch = 64\n", "lle": ""}
@@ -301,6 +302,7 @@ INVALID_FIELDS = [
     ("lle", "eval_episodes", "0"), ("lle", "final_eval_episodes", "0"),
     ("lle", "alpha_end", "inf"), ("lle", "delta_alpha", "nan"), ("ppo", "max_grad_norm", "nan"),
     ("ppo", "clip", "nan"), ("ppo", "value_coeff", "inf"), ("lle", "k", "six"),
+    ("ppo", "max_grad_norm", "0"), ("ppo", "value_coeff", "-0.5"),
 ]
 
 

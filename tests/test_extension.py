@@ -250,7 +250,17 @@ def test_fine_tune_trains_under_matched_weight(small_run):
     assert all(not np.array_equal(t.theta.data, c.theta.data) for t, c in zip(tuned, cands))
 
 
-def test_train_all_stacks_equal_budgets_and_returns_job_order(monkeypatch, tmp_path):
+def test_fine_tuned_copy_of_base_is_not_a_base(small_run):
+    env, cfg, ppo_cfg, dirs, _ = small_run
+    ledger = BudgetLedger()
+    zero = [c for c in extend(dirs, cfg, env, 6000, 9, ledger) if c.is_base]
+    assert [c.alphas for c in zero] == [(0.0,)]
+    (tuned,) = fine_tune(zero, env, cfg, ppo_cfg, [ppo_cfg.steps_per_batch], 7000, 9, ledger)
+    assert tuned.alphas == (0.0,) and tuned.stage == "fine_tuned"
+    assert not tuned.is_base
+
+
+def test_train_all_makes_one_stacked_call_and_returns_job_order(monkeypatch, tmp_path):
     env = DualGoal()
     ppo_cfg = tiny_ppo()
     batch = ppo_cfg.steps_per_batch
@@ -262,13 +272,13 @@ def test_train_all_stacks_equal_budgets_and_returns_job_order(monkeypatch, tmp_p
     calls = []
     real = extension.train
 
-    def recording(thetas, env, weights, total_steps, cfg, seeds, log_streams=None):
-        calls.append((total_steps, list(seeds)))
-        return real(thetas, env, weights, total_steps, cfg, seeds, log_streams)
+    def recording(thetas, env, weights, total_steps, cfg, seeds, log_streams=None, *, member_steps=None):
+        calls.append((total_steps, list(seeds), list(member_steps)))
+        return real(thetas, env, weights, total_steps, cfg, seeds, log_streams, member_steps=member_steps)
 
     monkeypatch.setattr(extension, "train", recording)
     trained, taken = _train_all(jobs, env, ppo_cfg, tmp_path)
-    assert calls == [(2 * batch, [70, 72]), (batch, [71, 73])]
+    assert calls == [(2 * batch, [70, 71, 72, 73], [2 * batch, batch, 2 * batch, batch])]
     assert taken == 6 * batch
     for job, theta in zip(jobs, trained):
         alone = train(job.theta, env, job.weight, job.steps, ppo_cfg, job.seed)
@@ -448,9 +458,9 @@ def diverging_train(monkeypatch, bad_seeds):
     real = extension.train
     seen = []
 
-    def fake(thetas, env, weights, total_steps, cfg, seeds, log_streams=None):
+    def fake(thetas, env, weights, total_steps, cfg, seeds, log_streams=None, *, member_steps=None):
         seen.extend(seeds)
-        results = real(thetas, env, weights, total_steps, cfg, seeds, log_streams)
+        results = real(thetas, env, weights, total_steps, cfg, seeds, log_streams, member_steps=member_steps)
         return [DivergenceError("non-finite PPO loss (nan)") if seed in bad_seeds else result
                 for seed, result in zip(seeds, results)]
 

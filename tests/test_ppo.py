@@ -425,7 +425,8 @@ def test_loss_and_grad_result_survives_next_call():
 def stack_members(env, n=3):
     """Start vectors, weights and seeds that differ in every member."""
     thetas = [init_actor_critic(env, seed=30 + k) for k in range(n)]
-    weights = [np.array([1.0, 0.0]), np.array([0.3, 0.7]), np.array([0.5, 0.5])][:n]
+    weights = [np.array([1.0, 0.0]), np.array([0.3, 0.7]), np.array([0.5, 0.5]), np.array([0.0, 1.0]),
+               np.array([0.8, 0.2])][:n]
     return thetas, weights, [40 + k for k in range(n)]
 
 
@@ -468,3 +469,69 @@ def test_stack_member_with_inf_log_std_diverges_alone():
     for k in (0, 2):
         alone = train(thetas[k], env, weights[k], steps, cfg, seeds[k])
         assert np.array_equal(stacked[k].data, alone.data)
+
+
+def test_mixed_budget_stack_equals_single_runs_bit_for_bit():
+    import io
+
+    env = DualGoal()
+    cfg = small_cfg()
+    batch = cfg.steps_per_batch
+    budgets = [3 * batch, batch, 0, 2 * batch, batch - 1]
+    thetas, weights, seeds = stack_members(env, n=5)
+    logs = [io.StringIO() for _ in thetas]
+    stacked = train(thetas, env, weights, 3 * batch, cfg, seeds, logs, member_steps=budgets)
+    for theta, w, seed, steps, got, log in zip(thetas, weights, seeds, budgets, stacked, logs):
+        if steps < batch:
+            assert np.array_equal(got.data, theta.data)
+            assert log.getvalue() == ""
+            continue
+        alone_log = io.StringIO()
+        alone = train(theta, env, w, steps, cfg, seed, alone_log)
+        assert np.array_equal(got.data, alone.data)
+        assert log.getvalue() == alone_log.getvalue()
+        assert len(log.getvalue().splitlines()) == steps // batch
+
+
+def test_member_diverging_after_a_shorter_member_left(monkeypatch):
+    """The second member's returns are poisoned at the third minibatch of
+    its second batch, after the first member has left the stack and in the
+    batch that the third member finishes."""
+    import morlext.ppo as ppo
+    from morlext.ppo import DivergenceError
+
+    env = DualGoal()
+    cfg = small_cfg()
+    batch = cfg.steps_per_batch
+    budgets = [batch, 3 * batch, 2 * batch, 3 * batch]
+    thetas, weights, seeds = stack_members(env, n=4)
+    real = ppo.loss_and_grad
+    poison_at = cfg.epochs * cfg.minibatches + 3
+    calls = []  # stack size at each loss_and_grad call
+
+    def poisoned(theta, obs, actions, log_probs_old, advantages, returns, cfg, views=None):
+        calls.append(len(returns))
+        if len(calls) == poison_at:
+            returns[0] = np.inf  # stack row 0: the second member once the first has left
+        return real(theta, obs, actions, log_probs_old, advantages, returns, cfg, views)
+
+    monkeypatch.setattr(ppo, "loss_and_grad", poisoned)
+    stacked = train(thetas, env, weights, 3 * batch, cfg, seeds, member_steps=budgets)
+    assert calls[0] == 4 and calls[poison_at - 1] == 3
+    calls.clear()
+    with pytest.raises(DivergenceError) as alone_err:
+        train(thetas[1], env, weights[1], budgets[1], cfg, seeds[1])
+    assert isinstance(stacked[1], DivergenceError)
+    assert str(stacked[1]) == str(alone_err.value)
+    monkeypatch.setattr(ppo, "loss_and_grad", real)
+    for k in (0, 2, 3):
+        alone = train(thetas[k], env, weights[k], budgets[k], cfg, seeds[k])
+        assert np.array_equal(stacked[k].data, alone.data)
+
+
+def test_member_steps_of_wrong_length_rejected():
+    env = DualGoal()
+    cfg = small_cfg()
+    thetas, weights, seeds = stack_members(env)
+    with pytest.raises(ValueError, match="step budget per policy"):
+        train(thetas, env, weights, cfg.steps_per_batch, cfg, seeds, member_steps=[cfg.steps_per_batch] * 2)
