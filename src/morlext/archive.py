@@ -12,7 +12,7 @@ import base64
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -49,7 +49,8 @@ def _decode(line: str) -> ArchiveRecord:
     return ArchiveRecord(theta=ParameterVector(data, layout), meta=obj.get("meta", {}))
 
 
-def save_archive(path: str | Path, records: list[ArchiveRecord]) -> None:
+def save_archive(path: str | Path, records: Iterable[ArchiveRecord]) -> None:
+    """Write the records in order, encoding each as it is drawn."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:

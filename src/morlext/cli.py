@@ -24,6 +24,7 @@ import sys
 import time
 from dataclasses import Field, fields
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -148,8 +149,9 @@ def write_config_snapshot(path: Path, config: dict) -> None:
 # run
 
 
-def _candidate_records(cands, final_values) -> list[ArchiveRecord]:
-    records = []
+def _candidate_records(cands, final_values) -> Iterator[ArchiveRecord]:
+    """One archive record per candidate, each made (and its theta formed)
+    only when `save_archive` asks for it."""
     for c in cands:
         meta = {
             "policy_id": c.policy_id,
@@ -162,8 +164,7 @@ def _candidate_records(cands, final_values) -> list[ArchiveRecord]:
         }
         if c.policy_id in final_values:
             meta["final_returns"] = final_values[c.policy_id].tolist()
-        records.append(ArchiveRecord(theta=c.theta, meta=meta))
-    return records
+        yield ArchiveRecord(theta=c.theta, meta=meta)
 
 
 def _write_run_artifacts(out_dir: Path, config: dict, result: PipelineResult, wall_seconds: float) -> dict:

@@ -7,7 +7,10 @@ parameter-space extension.
 3. Generate candidates training-free on a grid of direction
    coefficients: theta = base + alpha * dtheta, each with a matched
    weight w = w_base + alpha * dw. Directions and coefficients are kept
-   as length-one lists, the shape the run directory's files record.
+   as length-one lists, the shape the run directory's files record. A
+   candidate stores no theta: it is its base's direction set and its
+   coefficients, and theta is formed where it is used (one evaluation
+   chunk, one fine-tuning job, one archive record at a time).
 4. Evaluate candidates and keep the pooled non-dominated subset.
 5. Fine-tune briefly, under its matched weight, each survivor the budget
    gives at least one batch; the final archive is the non-dominated
@@ -38,6 +41,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -50,8 +54,9 @@ from .seeding import derive_seed
 # Singular-value ratio at or below which a direction matrix counts as rank deficient.
 RANK_RTOL = 1e-8
 # Policies per lockstep evaluation rollout; it bounds the stacked arrays'
-# memory. The stacked network pass makes one BLAS product per policy, so
-# the chunk size changes no result.
+# memory and, since a candidate's theta is formed inside its chunk, the
+# candidate vectors alive at once. The stacked network pass makes one
+# BLAS product per policy, so the chunk size changes no result.
 EVAL_CHUNK = 64
 
 
@@ -149,6 +154,20 @@ class DirectionSet:
     def m(self) -> int:
         return len(self.deltas)
 
+    def theta_at(self, alphas: tuple[float, ...]) -> ParameterVector:
+        """A fresh theta = base + sum_i alpha_i * dtheta_i. The all-zero
+        tuple copies the base and a lone unit coefficient copies that
+        retrained policy, both verbatim so the landmarks are bit-exact."""
+        nonzero = [i for i, a in enumerate(alphas) if a != 0.0]
+        if not nonzero:
+            return self.base_theta.copy()
+        if len(nonzero) == 1 and alphas[nonzero[0]] == 1.0:
+            return self.retrained_thetas[nonzero[0]].copy()
+        data = self.base_theta.data.copy()
+        for i in nonzero:
+            data += alphas[i] * self.deltas[i].data
+        return ParameterVector(data, self.base_theta.layout)
+
     def direction_matrix(self) -> np.ndarray:
         return np.stack([d.data for d in self.deltas], axis=1)
 
@@ -161,9 +180,10 @@ def check_degenerate(direction_matrix: np.ndarray) -> bool:
 
 @dataclass
 class CandidatePolicy:
-    """A policy flowing through extension, selection, and fine-tuning."""
+    """A policy flowing through extension, selection, and fine-tuning.
+    A base or a fine-tuned policy holds its `trained` theta; a grid point
+    holds its base's `direction` set, and forms theta when it is read."""
 
-    theta: ParameterVector
     matched_w: np.ndarray
     raw_w: np.ndarray
     base_index: int
@@ -171,6 +191,12 @@ class CandidatePolicy:
     stage: str  # "extended" or "fine_tuned"
     policy_id: int
     returns: ReturnVector | None = None
+    trained: ParameterVector | None = None
+    direction: DirectionSet | None = None
+
+    @property
+    def theta(self) -> ParameterVector:
+        return self.trained if self.direction is None else self.direction.theta_at(self.alphas)
 
     @property
     def is_base(self) -> bool:
@@ -186,7 +212,7 @@ class BudgetLedger:
     total_budget: int = 0
     init_steps: int = 0
     retrain_steps: int = 0
-    extension_training_steps: int = 0  # stays zero: extension is training-free
+    extension_training_steps: int = 0
     finetune_steps: int = 0
     eval_steps: int = 0
 
@@ -217,14 +243,17 @@ class BudgetLedger:
 
 
 def _evaluate(
-    thetas: list[ParameterVector], env: VectorRewardEnv, episodes: int, seed: int, ledger: BudgetLedger
+    thetas: Iterable[ParameterVector], env: VectorRewardEnv, episodes: int, seed: int, ledger: BudgetLedger
 ) -> list[ReturnVector]:
     """Returns of each policy, in input order, from lockstep rollouts of
-    EVAL_CHUNK policies at a time; every policy is charged to the ledger."""
+    EVAL_CHUNK policies at a time; every policy is charged to the ledger.
+    `thetas` is drawn one chunk at a time, so vectors formed on demand
+    are alive one chunk at a time."""
     returns = []
-    for start in range(0, len(thetas), EVAL_CHUNK):
-        returns.extend(evaluate_returns(thetas[start : start + EVAL_CHUNK], env, episodes, seed))
-    ledger.eval_steps += len(thetas) * episodes * env.spec.horizon
+    pending = iter(thetas)
+    while chunk := list(itertools.islice(pending, EVAL_CHUNK)):
+        returns.extend(evaluate_returns(chunk, env, episodes, seed))
+    ledger.eval_steps += len(returns) * episodes * env.spec.horizon
     return returns
 
 
@@ -232,7 +261,7 @@ def _evaluate_into(
     candidates: list[CandidatePolicy], env: VectorRewardEnv, episodes: int, seed: int, ledger: BudgetLedger
 ) -> None:
     """Set each candidate's returns from one batched evaluation."""
-    for cand, r in zip(candidates, _evaluate([c.theta for c in candidates], env, episodes, seed, ledger)):
+    for cand, r in zip(candidates, _evaluate((c.theta for c in candidates), env, episodes, seed, ledger)):
         cand.returns = r
 
 
@@ -349,44 +378,30 @@ def extend(
 ) -> list[CandidatePolicy]:
     """Enumerate and evaluate the full coefficient grid for one base.
 
-    No training happens here. The all-zero tuple reproduces the base and
-    a lone unit coefficient reproduces that retrained policy, both taken
-    verbatim so the landmarks are bit-exact. `base_returns`, the base's
-    returns at this grade, are given to the all-zero copy instead of
-    rolling it out again.
+    No training happens here, and no candidate stores a theta: each holds
+    `dirs` and its coefficients (see `DirectionSet.theta_at`), and its
+    theta is formed inside its evaluation chunk. `base_returns`, the
+    base's returns at this grade, are given to the all-zero copy instead
+    of rolling it out again.
     """
     grid = alpha_grid(cfg.alpha_start, cfg.alpha_end, cfg.delta_alpha)
-    base = dirs.base_theta
     candidates = []
-    next_id = id_start
-    for alphas in itertools.product(grid, repeat=dirs.m):
-        nonzero = [i for i, a in enumerate(alphas) if a != 0.0]
-        if not nonzero:
-            theta = base.copy()
-        elif len(nonzero) == 1 and alphas[nonzero[0]] == 1.0:
-            theta = dirs.retrained_thetas[nonzero[0]].copy()
-        else:
-            data = base.data.copy()
-            for i, a in enumerate(alphas):
-                if a != 0.0:
-                    data += a * dirs.deltas[i].data
-            theta = ParameterVector(data, base.layout)
+    for offset, alphas in enumerate(itertools.product(grid, repeat=dirs.m)):
         raw_w = dirs.base_w + sum(
             (a * dw for a, dw in zip(alphas, dirs.weight_deltas)), np.zeros(env.spec.d)
         )
         cand = CandidatePolicy(
-            theta=theta,
             matched_w=clip_to_simplex(raw_w),
             raw_w=raw_w,
             base_index=dirs.base_index,
             alphas=tuple(float(a) for a in alphas),
             stage="extended",
-            policy_id=next_id,
+            policy_id=id_start + offset,
+            direction=dirs,
         )
         if cand.is_base:
             cand.returns = base_returns
         candidates.append(cand)
-        next_id += 1
     _evaluate_into([c for c in candidates if c.returns is None], env, cfg.eval_episodes, eval_seed, ledger)
     return candidates
 
@@ -440,13 +455,13 @@ def fine_tune(
             continue
         out.append(
             CandidatePolicy(
-                theta=theta,
                 matched_w=cand.matched_w.copy(),
                 raw_w=cand.raw_w.copy(),
                 base_index=cand.base_index,
                 alphas=cand.alphas,
                 stage="fine_tuned",
                 policy_id=id_start + len(out),
+                trained=theta,
             )
         )
     _evaluate_into(out, env, cfg.eval_episodes, eval_seed, ledger)
@@ -542,13 +557,13 @@ def run_pipeline(
     # final pool always contains them whatever the grid holds.
     bases = [
         CandidatePolicy(
-            theta=base_thetas[k],
             matched_w=weights[k].copy(),
             raw_w=weights[k].copy(),
             base_index=k,
             alphas=(0.0,),
             stage="extended",
             policy_id=k,
+            trained=base_thetas[k],
         )
         for k in trained
     ]
@@ -590,10 +605,10 @@ def run_pipeline(
     for dirs in directions:
         final_returns[dirs.base_index, (0.0,)] = dirs.base_returns
         final_returns[dirs.base_index, (1.0,)] = dirs.retrained_returns[0]
-    rollouts = {policy_key(c): c.theta for c in pool if policy_key(c) not in final_returns}
-    final_returns.update(
-        zip(rollouts, _evaluate(list(rollouts.values()), env, cfg.final_eval_episodes, final_seed, ledger))
-    )
+    rollouts = {policy_key(c): c for c in pool if policy_key(c) not in final_returns}
+    final_returns.update(zip(rollouts, _evaluate(
+        (c.theta for c in rollouts.values()), env, cfg.final_eval_episodes, final_seed, ledger
+    )))
     final_values = {c.policy_id: final_returns[policy_key(c)].values for c in pool}
 
     base_archive = non_dominated_filter(

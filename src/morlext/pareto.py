@@ -28,6 +28,9 @@ import numpy as np
 REF_POINT_MARGIN = 1.0
 # Sorted rows non_dominated_filter decides per array step.
 FILTER_BLOCK = 256
+# Preference weights per expected-utility product block (at least 2, see
+# expected_utility); it bounds the product's memory and changes no result.
+EU_BLOCK = 1024
 
 
 @dataclass
@@ -203,7 +206,13 @@ def expected_utility(
     seed: int = 0,
     chunk: int = 65_536,
 ) -> float:
-    """Mean best scalarized return over uniform random preferences."""
+    """Mean best scalarized return over uniform random preferences.
+
+    Weights are drawn `chunk` at a time; each chunk's best returns are
+    taken EU_BLOCK weights at a time into one buffer that is summed once,
+    so no temporary exceeds (EU_BLOCK + 1, front) and the result does not
+    depend on EU_BLOCK.
+    """
     front = _front_matrix(archive)
     if front.shape[0] == 0:
         raise ValueError("expected utility of an empty archive is undefined")
@@ -216,7 +225,13 @@ def expected_utility(
     while remaining > 0:
         m = min(chunk, remaining)
         weights = sample_simplex(m, d, rng)
-        total += float((weights @ front.T).max(axis=1).sum())
+        best = np.empty(m)
+        # No block is a lone last row: a one-row product goes through
+        # BLAS's vector routine, which may round differently.
+        bounds = [0, *range(EU_BLOCK, m - 1, EU_BLOCK), m]
+        for lo, hi in zip(bounds, bounds[1:]):
+            np.max(weights[lo:hi] @ front.T, axis=1, out=best[lo:hi])
+        total += float(best.sum())
         remaining -= m
     return total / n_weights
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from morlext.extension import (
     EVAL_CHUNK,
     BudgetLedger,
     CandidatePolicy,
+    DirectionSet,
     LleConfig,
     _evaluate,
     _Job,
@@ -25,7 +27,7 @@ from morlext.extension import (
     shift_weight,
 )
 from morlext.pareto import dominates, hypervolume
-from morlext.policy import evaluate_returns
+from morlext.policy import ParameterVector, evaluate_returns
 from morlext.ppo import DivergenceError, PpoConfig, init_actor_critic, train
 from morlext.seeding import derive_seed
 
@@ -125,7 +127,7 @@ def test_clip_to_simplex():
 def base_policy(theta, weight, k=0):
     """Base k as the pipeline holds it: a zero-coefficient candidate with id k."""
     return CandidatePolicy(
-        theta=theta, matched_w=weight, raw_w=weight, base_index=k, alphas=(0.0,), stage="extended", policy_id=k
+        matched_w=weight, raw_w=weight, base_index=k, alphas=(0.0,), stage="extended", policy_id=k, trained=theta
     )
 
 
@@ -168,14 +170,55 @@ def test_extend_identity_and_endpoint_bit_exact(small_run):
     env, cfg, ppo_cfg, dirs, ledger = small_run
     cands = extend(dirs, cfg, env, 100, 7, ledger)
     grid = alpha_grid(cfg.alpha_start, cfg.alpha_end, cfg.delta_alpha)
-    assert len(cands) == len(grid)
-    by_alpha = {c.alphas[0]: c for c in cands}
-    assert np.array_equal(by_alpha[0.0].theta.data, dirs.base_theta.data)
-    assert np.array_equal(by_alpha[1.0].theta.data, dirs.retrained_thetas[0].data)
-    # generic combination is plain vector arithmetic
-    a = -0.5
-    expected = dirs.base_theta.data + a * dirs.deltas[0].data
-    assert np.allclose(by_alpha[a].theta.data, expected)
+    assert [c.alphas for c in cands] == [(a,) for a in grid]
+    base, delta = dirs.base_theta.data, dirs.deltas[0].data
+    for c in cands:
+        (a,) = c.alphas
+        if a == 0.0:
+            expected = base
+        elif a == 1.0:
+            expected = dirs.retrained_thetas[0].data
+        else:
+            expected = base + a * delta
+        assert np.array_equal(c.theta.data, expected), a
+
+
+def test_extended_candidates_store_no_theta(pipeline_result):
+    result, cfg, ppo_cfg = pipeline_result
+    assert len(result.candidates) > len(result.directions)
+    for c in result.candidates:
+        assert c.trained is None and c.direction is not None
+        assert not any(isinstance(v, ParameterVector) for v in vars(c).values())
+        assert c.theta is not c.theta  # formed afresh on each read
+
+
+def extend_peak_bytes(dirs, env, delta_alpha):
+    """Traced allocation peak of one `extend` call over [-1, 1]."""
+    cfg = tiny_cfg(delta_alpha=delta_alpha, eval_episodes=1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        extend(dirs, cfg, env, 0, 3, BudgetLedger())
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_extend_memory_does_not_grow_with_the_grid():
+    # A full-size network, so that stored thetas would dwarf the per-candidate bookkeeping.
+    env = DualGoal()
+    base = init_actor_critic(env, seed=80)
+    moved = base.copy()
+    moved.data += 0.01 * np.random.default_rng(81).standard_normal(moved.data.shape)
+    dirs = DirectionSet(
+        base_index=0, base_theta=base, base_w=np.array([0.5, 0.5]),
+        deltas=[ParameterVector(moved.data - base.data, base.layout)],
+        weight_deltas=[np.array([-0.1, 0.1])], retrained_thetas=[moved],
+    )
+    small = extend_peak_bytes(dirs, env, 2 / 128)
+    large = extend_peak_bytes(dirs, env, 2 / 256)
+    # 128 more candidates: stored thetas would add two chunks' worth.
+    assert large - small < EVAL_CHUNK * base.data.nbytes
 
 
 def test_extend_consumes_no_training_steps(small_run):
@@ -383,6 +426,28 @@ def test_pipeline_evaluates_each_policy_once_per_grade(reference_k3):
         theta = result.policies_by_id[policy_id].theta
         fresh = evaluate_returns(theta, DualGoal(), cfg.final_eval_episodes, final_seed)
         assert np.array_equal(values, fresh.values)
+
+
+def test_pipeline_trains_only_in_its_training_stages(train_record):
+    result = run_pipeline(DualGoal(), tiny_cfg(K=2, delta_alpha=0.25), tiny_ppo(), total_budget=2000)
+    assert len(train_record.calls) == 3  # bases, retrains, fine-tunes
+    assert train_record.training_free(result)
+
+
+def test_training_free_check_fails_on_training_during_extension(train_record, monkeypatch):
+    # The check can fail: a train call made while `extend` runs is caught.
+    real_grid = extension.alpha_grid
+
+    def training_grid(*args):
+        env = DualGoal()
+        extension.train([init_actor_critic(env, seed=90, hidden=(8, 8))], env, [np.array([0.5, 0.5])],
+                        tiny_ppo().steps_per_batch, tiny_ppo(), [91])
+        return real_grid(*args)
+
+    monkeypatch.setattr(extension, "alpha_grid", training_grid)
+    result = run_pipeline(DualGoal(), tiny_cfg(K=2), tiny_ppo(), total_budget=2000)
+    assert any(during for during, _ in train_record.calls)
+    assert not train_record.training_free(result)
 
 
 def test_pipeline_hv_chain(pipeline_result):

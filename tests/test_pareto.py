@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from morlext import pareto
 from morlext.pareto import (
     FILTER_BLOCK,
     FrontPoint,
@@ -12,6 +15,7 @@ from morlext.pareto import (
     hypervolume,
     load_front_table,
     non_dominated_filter,
+    sample_simplex,
     save_front_table,
     sparsity,
 )
@@ -260,6 +264,41 @@ def test_eu_invariant_to_dominated_points():
 def test_eu_empty_archive_rejected():
     with pytest.raises(ValueError):
         expected_utility(np.zeros((0, 2)), 10, seed=0)
+
+
+def one_block_eu(front, n_weights, seed, chunk=65_536):
+    """Expected utility with each sum chunk's whole weight-by-front product in one block."""
+    rng = np.random.default_rng(seed)
+    total, remaining = 0.0, n_weights
+    while remaining > 0:
+        m = min(chunk, remaining)
+        weights = sample_simplex(m, front.shape[1], rng)
+        total += float((weights @ front.T).max(axis=1).sum())
+        remaining -= m
+    return total / n_weights
+
+
+# 70,000 weights cross the 65,536-weight sum chunk; 1,025 and 10,003 leave
+# a lone last row for blocks of 1,024 and 2.
+@pytest.mark.parametrize("block", [2, 7, 1024])
+@pytest.mark.parametrize("n_weights", [1025, 10_000, 10_003, 70_000])
+@pytest.mark.parametrize("d, n_points", [(2, 1), (2, 389), (3, 400)])
+def test_eu_blocks_match_one_block_bit_for_bit(monkeypatch, block, n_weights, d, n_points):
+    front = np.random.default_rng(d * 1000 + n_points).uniform(-50.0, 50.0, (n_points, d))
+    monkeypatch.setattr(pareto, "EU_BLOCK", block)
+    assert expected_utility(front, n_weights, seed=5) == one_block_eu(front, n_weights, seed=5)
+
+
+def test_eu_memory_is_bounded_by_one_block():
+    front = np.random.default_rng(6).uniform(-50.0, 50.0, (400, 3))
+    tracemalloc.start()
+    try:
+        expected_utility(front, 10_000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The one-block product alone is 10,000 x 400 x 8 B = 32 MB.
+    assert peak < 8e6
 
 
 # ---------------------------------------------------------------------------
