@@ -3,7 +3,8 @@
 One JSON record per line per policy: the flattening layout, the raw
 little-endian float64 parameter bytes (base64), and free-form metadata
 (preference weight, pipeline stage, returns). The container is
-self-describing and round-trips bit-exactly.
+self-describing and round-trips bit-exactly. A reader decodes the
+parameter bytes of only the records it asks for.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import base64
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Container, Iterable
 
 import numpy as np
 
@@ -23,7 +24,7 @@ FORMAT_TAG = "morlext-policy-archive-v1"
 
 @dataclass
 class ArchiveRecord:
-    theta: ParameterVector
+    theta: ParameterVector | None  # None when loaded without its parameters
     meta: dict[str, Any] = field(default_factory=dict)
 
 
@@ -39,10 +40,12 @@ def _encode(record: ArchiveRecord) -> str:
     )
 
 
-def _decode(line: str) -> ArchiveRecord:
+def _decode(line: str, with_theta: bool) -> ArchiveRecord:
     obj = json.loads(line)
     if obj.get("format") != FORMAT_TAG:
         raise ValueError(f"not a policy archive record (format={obj.get('format')!r})")
+    if not with_theta:
+        return ArchiveRecord(theta=None, meta=obj.get("meta", {}))
     layout = ParamLayout(tuple((key, tuple(shape)) for key, shape in obj["layout"]))
     raw = base64.b64decode(obj["data"])
     data = np.frombuffer(raw, dtype="<f8").astype(np.float64)
@@ -58,11 +61,13 @@ def save_archive(path: str | Path, records: Iterable[ArchiveRecord]) -> None:
             fh.write(_encode(record) + "\n")
 
 
-def load_archive(path: str | Path) -> list[ArchiveRecord]:
+def load_archive(path: str | Path, entries: Container[int] | None = None) -> list[ArchiveRecord]:
+    """Every record in order; only those whose index is in `entries` (all
+    when None) get their parameter bytes decoded, the others a None theta."""
     records = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if line:
-                records.append(_decode(line))
+                records.append(_decode(line, entries is None or len(records) in entries))
     return records

@@ -331,8 +331,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    records_a = load_archive(args.archive_a)
-    records_b = load_archive(args.archive_b)
+    records_a = load_archive(args.archive_a, {args.entry_a})
+    records_b = load_archive(args.archive_b, {args.entry_b})
     for name, records, entry in (("a", records_a, args.entry_a), ("b", records_b, args.entry_b)):
         if not 0 <= entry < len(records):
             raise ConfigError(f"--entry-{name} {entry} out of range: archive has {len(records)} records")
@@ -382,7 +382,7 @@ def cmd_synth_check(args) -> int:
 
 
 def cmd_front_export(args) -> int:
-    records = load_archive(args.policies)
+    records = load_archive(args.policies, ())
     points = []
     for rec in records:
         values = rec.meta.get("final_returns") or rec.meta.get("returns")

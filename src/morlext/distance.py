@@ -30,7 +30,9 @@ def hungarian_solve(cost: np.ndarray) -> Matching:
     """Exact minimum-cost perfect matching on a square matrix, O(m^3).
 
     Shortest-augmenting-path formulation with row/column potentials
-    (Jonker-Volgenant style). Rows and columns are 0-indexed.
+    (Jonker-Volgenant style). Each augmenting step scans the free columns
+    as one array pass; ties go to the lowest column. Rows and columns are
+    0-indexed.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
@@ -52,24 +54,16 @@ def hungarian_solve(cost: np.ndarray) -> Matching:
         while True:
             used[j0] = True
             i0 = match_col[j0]
-            delta = inf
-            j1 = -1
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match_col[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            cur = (cost[i0 - 1] - u[i0]) - v[1:]
+            better = (cur < minv[1:]) & ~used[1:]
+            minv[1:][better] = cur[better]
+            way[1:][better] = j0
+            j1 = int(np.argmin(np.where(used, inf, minv)))
+            delta = minv[j1]
+            # The used columns hold distinct rows, so this update is elementwise.
+            u[match_col[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
             j0 = j1
             if match_col[j0] == 0:
                 break
@@ -78,8 +72,7 @@ def hungarian_solve(cost: np.ndarray) -> Matching:
             match_col[j0] = match_col[j1]
             j0 = j1
     assignment = np.empty(n, dtype=np.int64)
-    for j in range(1, n + 1):
-        assignment[match_col[j] - 1] = j - 1
+    assignment[match_col[1:] - 1] = np.arange(n)
     total = float(cost[np.arange(n), assignment].sum())
     return Matching(assignment=assignment, total_cost=total)
 

@@ -215,6 +215,8 @@ class BudgetLedger:
     extension_training_steps: int = 0
     finetune_steps: int = 0
     eval_steps: int = 0
+    # Every step `_train_all` took, in any stage; not a stage of its own.
+    train_all_steps: int = 0
 
     @property
     def training_steps(self) -> int:
@@ -277,14 +279,15 @@ class _Job:
 
 
 def _train_all(
-    jobs: list[_Job], env: VectorRewardEnv, ppo_cfg: PpoConfig, log_dir: Path | None
+    jobs: list[_Job], env: VectorRewardEnv, ppo_cfg: PpoConfig, log_dir: Path | None, ledger: BudgetLedger
 ) -> tuple[list[ParameterVector | None], int]:
     """Train the jobs as one lockstep stack (one `train` call), each job
     on its own step budget.
 
     Returns the trained vectors in job order, with None for each job whose
     loss went non-finite (warned about once, in job order, and dropped),
-    and the environment steps taken by the runs that completed.
+    and the environment steps taken by the runs that completed, which
+    are also added to the ledger's `train_all_steps`.
     """
     if not jobs:
         return [], 0
@@ -305,6 +308,7 @@ def _train_all(
         else:
             trained.append(outcome)
             taken += steps_taken(job.steps, ppo_cfg)
+    ledger.train_all_steps += taken
     return trained, taken
 
 
@@ -333,7 +337,7 @@ def directional_retrain(
         _Job(b.theta, w, steps, derive_seed(cfg.seed, "retrain", b.base_index, 1), f"retrain_{b.base_index}_1")
         for b, w, steps in zip(bases, shifted, budgets)
     ]
-    retrained, taken = _train_all(jobs, env, ppo_cfg, log_dir)
+    retrained, taken = _train_all(jobs, env, ppo_cfg, log_dir, ledger)
     ledger.retrain_steps += taken
     directions = [
         DirectionSet(
@@ -447,7 +451,7 @@ def fine_tune(
         _Job(c.theta, c.matched_w, steps, derive_seed(cfg.seed, "finetune", c.policy_id), f"finetune_{c.policy_id}")
         for c, steps in funded
     ]
-    thetas, taken = _train_all(jobs, env, ppo_cfg, log_dir)
+    thetas, taken = _train_all(jobs, env, ppo_cfg, log_dir, ledger)
     ledger.finetune_steps += taken
     out = []
     for (cand, _), theta in zip(funded, thetas):
@@ -548,7 +552,7 @@ def run_pipeline(
              derive_seed(cfg.seed, "init", k), f"init_{k}")
         for k, w in enumerate(weights)
     ]
-    base_thetas, ledger.init_steps = _train_all(jobs, env, ppo_cfg, log_dir)
+    base_thetas, ledger.init_steps = _train_all(jobs, env, ppo_cfg, log_dir, ledger)
     trained = [k for k, theta in enumerate(base_thetas) if theta is not None]
     if len(trained) < 2:
         raise DivergenceError(f"only {len(trained)} of {cfg.K} base policies trained; a front needs two")
@@ -576,6 +580,7 @@ def run_pipeline(
     base_by_index = {b.base_index: b for b in bases}
 
     # Stage 3: training-free extension.
+    trained_before = ledger.train_all_steps
     candidates = []
     next_id = cfg.K
     for dirs in directions:
@@ -587,6 +592,7 @@ def run_pipeline(
 
     # Stage 4: pooled selection.
     selected = select_candidates(candidates)
+    ledger.extension_training_steps = ledger.train_all_steps - trained_before
 
     # Stage 5: preference-aligned fine-tuning.
     ft_budgets = _even_batch_split(total_budget // 5, len(selected), batch)

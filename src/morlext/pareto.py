@@ -139,36 +139,25 @@ def _check_ref(front: np.ndarray, ref: np.ndarray) -> None:
 
 
 def _hv2d(front: np.ndarray, ref: np.ndarray) -> float:
-    order = np.argsort(-front[:, 0])
-    hv = 0.0
-    best_y = ref[1]
-    for x, y in front[order]:
-        if y > best_y:
-            hv += (x - ref[0]) * (y - best_y)
-            best_y = y
-    return hv
+    # Sweep x downwards: a point adds the strip between its y and the best
+    # y before it. cumsum adds the strips left to right, like a loop would.
+    x, y = front[np.argsort(-front[:, 0])].T
+    best_before = np.maximum.accumulate(np.concatenate([ref[1:2], y[:-1]]))
+    strips = np.where(y > best_before, (x - ref[0]) * (y - best_before), 0.0)
+    return np.cumsum(strips)[-1]
 
 
 def _hv3d(front: np.ndarray, ref: np.ndarray) -> float:
     # Sweep the third objective downwards; between consecutive levels the
-    # dominated region is a 2-D hypervolume times the slab height.
-    order = np.argsort(-front[:, 2])
-    pts = front[order]
+    # dominated region is the 2-D hypervolume of the points above, a
+    # prefix of the sorted array, times the slab height.
+    pts = front[np.argsort(-front[:, 2])]
+    z = pts[:, 2]
+    levels = np.flatnonzero(np.concatenate([[True], z[1:] != z[:-1]]))  # first index of each z
     volume = 0.0
-    layer: list[np.ndarray] = []
-    i = 0
-    prev_z = None
-    while i < len(pts):
-        z = pts[i, 2]
-        if layer and prev_z is not None and prev_z > z:
-            volume += _hv2d(np.stack(layer), ref[:2]) * (prev_z - z)
-        while i < len(pts) and pts[i, 2] == z:
-            layer.append(pts[i, :2])
-            i += 1
-        prev_z = z
-    if layer and prev_z is not None:
-        volume += _hv2d(np.stack(layer), ref[:2]) * (prev_z - ref[2])
-    return volume
+    for prev, i in zip(levels, levels[1:]):
+        volume += _hv2d(pts[:i, :2], ref[:2]) * (z[prev] - z[i])
+    return volume + _hv2d(pts[:, :2], ref[:2]) * (z[levels[-1]] - ref[2])
 
 
 def hypervolume(archive: ParetoArchive | np.ndarray, ref_point: np.ndarray) -> float:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import morlext
+from morlext import archive
 from morlext.cli import load_run_config, main, write_config_snapshot
 from morlext.extension import LleConfig
 from morlext.pareto import load_front_table
@@ -159,8 +160,46 @@ def test_distance_subcommand(run_dir, capsys):
 
 
 def test_distance_bad_entry_is_usage_error(run_dir, capsys):
-    bases = str(run_dir / "policies" / "bases.jsonl")
-    assert main(["distance", bases, bases, "--entry-b", "99"]) == 1
+    bases = run_dir / "policies" / "bases.jsonl"
+    n = len(bases.read_text().splitlines())
+    assert main(["distance", str(bases), str(bases), "--entry-b", "99"]) == 1
+    assert f"--entry-b 99 out of range: archive has {n} records" in capsys.readouterr().err
+
+
+def count_decodes(monkeypatch) -> list:
+    """Record each base64 decode of archived parameter bytes."""
+    calls = []
+    real = archive.base64.b64decode
+    monkeypatch.setattr(archive.base64, "b64decode", lambda data: calls.append(1) or real(data))
+    return calls
+
+
+def test_distance_decodes_only_its_two_records(run_dir, monkeypatch, capsys):
+    final = run_dir / "policies" / "final.jsonl"
+    n = len(final.read_text().splitlines())
+    assert n >= 3
+    decodes = count_decodes(monkeypatch)
+    assert main(["distance", str(final), str(final), "--entry-a", "1", "--entry-b", str(n - 1)]) == 0
+    assert len(decodes) == 2
+
+
+def test_front_export_builds_no_parameter_vector(run_dir, tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("front-export built a parameter vector")
+
+    decodes = count_decodes(monkeypatch)
+    monkeypatch.setattr(archive, "ParameterVector", refuse)
+    out = tmp_path / "exported.csv"
+    assert main(["front-export", str(run_dir / "policies" / "final.jsonl"), "-o", str(out)]) == 0
+    assert decodes == [] and load_front_table(out).points
+
+
+def test_python_dash_m_morlext_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(morlext.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "morlext", "--help"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0
+    assert "front-export" in proc.stdout
 
 
 def test_front_export_roundtrip(run_dir, tmp_path, capsys):
@@ -321,9 +360,10 @@ def test_invalid_ppo_field_is_usage_error(tmp_path, capsys, section, key, value)
 
 @pytest.mark.parametrize("flag", ["--entry-a", "--entry-b"])
 def test_distance_negative_entry_is_usage_error(run_dir, capsys, flag):
-    bases = str(run_dir / "policies" / "bases.jsonl")
-    assert main(["distance", bases, bases, flag, "-1"]) == 1
-    assert "out of range" in capsys.readouterr().err
+    bases = run_dir / "policies" / "bases.jsonl"
+    n = len(bases.read_text().splitlines())
+    assert main(["distance", str(bases), str(bases), flag, "-1"]) == 1
+    assert f"{flag} -1 out of range: archive has {n} records" in capsys.readouterr().err
 
 
 def test_metrics_default_ref_point_is_front_min_minus_one(run_dir, capsys):

@@ -67,6 +67,70 @@ def test_solver_singleton():
     assert m.total_cost == pytest.approx(2.5)
 
 
+def _reference_hungarian_solve(cost):
+    """The solver's per-column loop form: the same arithmetic in the same
+    order, one column at a time."""
+    cost = np.asarray(cost, dtype=np.float64)
+    n = cost.shape[0]
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    match_col = np.zeros(n + 1, dtype=np.int64)
+    way = np.zeros(n + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        match_col[0] = i
+        j0 = 0
+        minv = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = match_col[j0]
+            delta = np.inf
+            j1 = -1
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match_col[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match_col[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = way[j0]
+            match_col[j0] = match_col[j1]
+            j0 = j1
+    assignment = np.empty(n, dtype=np.int64)
+    for j in range(1, n + 1):
+        assignment[match_col[j] - 1] = j - 1
+    return assignment, float(cost[np.arange(n), assignment].sum())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 65])
+@pytest.mark.parametrize("kind", ["tied", "random"])
+def test_solver_equals_loop_reference_bit_for_bit(n, kind):
+    rng = np.random.default_rng(n)
+    for trial in range(3):
+        if kind == "tied":
+            # Few distinct integer costs: many ties, settled by lowest column.
+            cost = rng.integers(0, 3, size=(n, n)).astype(np.float64)
+        else:
+            cost = rng.uniform(0, 10, size=(n, n))
+        assignment, total = _reference_hungarian_solve(cost)
+        m = hungarian_solve(cost)
+        assert m.assignment.tolist() == assignment.tolist()
+        assert m.total_cost == total
+
+
 # ---------------------------------------------------------------------------
 # Network distance
 

@@ -320,9 +320,10 @@ def test_train_all_makes_one_stacked_call_and_returns_job_order(monkeypatch, tmp
         return real(thetas, env, weights, total_steps, cfg, seeds, log_streams, member_steps=member_steps)
 
     monkeypatch.setattr(extension, "train", recording)
-    trained, taken = _train_all(jobs, env, ppo_cfg, tmp_path)
+    ledger = BudgetLedger()
+    trained, taken = _train_all(jobs, env, ppo_cfg, tmp_path, ledger)
     assert calls == [(2 * batch, [70, 71, 72, 73], [2 * batch, batch, 2 * batch, batch])]
-    assert taken == 6 * batch
+    assert taken == ledger.train_all_steps == 6 * batch
     for job, theta in zip(jobs, trained):
         alone = train(job.theta, env, job.weight, job.steps, ppo_cfg, job.seed)
         assert np.array_equal(theta.data, alone.data)
@@ -448,6 +449,28 @@ def test_training_free_check_fails_on_training_during_extension(train_record, mo
     result = run_pipeline(DualGoal(), tiny_cfg(K=2), tiny_ppo(), total_budget=2000)
     assert any(during for during, _ in train_record.calls)
     assert not train_record.training_free(result)
+
+
+def test_ledger_charges_training_during_extension(monkeypatch):
+    # Steps `_train_all` takes while `extend` runs reach the ledger, and
+    # with it metrics.json, as extension_training_steps.
+    real_extend = extension.extend
+    ppo_cfg = tiny_ppo()
+    steps = 2 * ppo_cfg.steps_per_batch
+    extra = []
+
+    def training_extend(dirs, cfg, env, id_start, eval_seed, ledger, base_returns=None):
+        if not extra:
+            job = _Job(init_actor_critic(env, seed=90, hidden=(8, 8)), np.array([0.5, 0.5]), steps, 91, "extra")
+            extra.append(_train_all([job], env, ppo_cfg, None, ledger)[1])
+        return real_extend(dirs, cfg, env, id_start, eval_seed, ledger, base_returns)
+
+    monkeypatch.setattr(extension, "extend", training_extend)
+    result = run_pipeline(DualGoal(), tiny_cfg(K=2), ppo_cfg, total_budget=2000)
+    ledger = result.ledger
+    assert extra == [steps]
+    assert ledger.as_dict()["extension_training_steps"] == steps
+    assert ledger.training_steps == ledger.init_steps + ledger.retrain_steps + steps + ledger.finetune_steps
 
 
 def test_pipeline_hv_chain(pipeline_result):

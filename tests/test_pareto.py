@@ -222,6 +222,53 @@ def test_hv_agrees_with_monte_carlo(d):
         assert exact == pytest.approx(mc, rel=0.02)
 
 
+def _reference_hv2d(front, ref):
+    """The 2-D sweep's loop form: strips added one point at a time."""
+    order = np.argsort(-front[:, 0])
+    hv = 0.0
+    best_y = ref[1]
+    for x, y in front[order]:
+        if y > best_y:
+            hv += (x - ref[0]) * (y - best_y)
+            best_y = y
+    return hv
+
+
+def _reference_hv3d(front, ref):
+    """The 3-D sweep's loop form: each slab's points gathered into a list."""
+    order = np.argsort(-front[:, 2])
+    pts = front[order]
+    volume = 0.0
+    layer = []
+    i = 0
+    prev_z = None
+    while i < len(pts):
+        z = pts[i, 2]
+        if layer and prev_z is not None and prev_z > z:
+            volume += _reference_hv2d(np.stack(layer), ref[:2]) * (prev_z - z)
+        while i < len(pts) and pts[i, 2] == z:
+            layer.append(pts[i, :2])
+            i += 1
+        prev_z = z
+    if layer and prev_z is not None:
+        volume += _reference_hv2d(np.stack(layer), ref[:2]) * (prev_z - ref[2])
+    return volume
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 7, 60, 400])
+def test_hv_equals_loop_reference_bit_for_bit(d, n):
+    rng = np.random.default_rng(n + d)
+    reference = {2: _reference_hv2d, 3: _reference_hv3d}[d]
+    # Coarse grids repeat x and z values; a fine one mostly does not; points
+    # on a sphere are mutually non-dominated, so every one adds a strip.
+    sphere = np.abs(rng.standard_normal((n, d)))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    for values in (rng.integers(0, 4, size=(n, d)) / 2.0, rng.uniform(0, 1, size=(n, d)), sphere):
+        ref = np.full(d, -0.25)
+        assert hypervolume(values, ref) == float(reference(values, ref))
+
+
 def test_hv3d_hand_value():
     # Two boxes: (2,1,1) and (1,1,2) from origin: union = 2 + 2 - 1 = 3.
     front = np.array([[2.0, 1.0, 1.0], [1.0, 1.0, 2.0]])
