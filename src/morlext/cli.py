@@ -157,7 +157,7 @@ def _candidate_records(cands, final_values) -> Iterator[ArchiveRecord]:
             "policy_id": c.policy_id,
             "stage": c.stage,
             "base_index": c.base_index,
-            "alphas": list(c.alphas),
+            "alphas": [c.alpha],
             "matched_w": c.matched_w.tolist(),
             "raw_w": c.raw_w.tolist(),
             "returns": c.returns.values.tolist() if c.returns is not None else None,
@@ -182,21 +182,20 @@ def _write_run_artifacts(out_dir: Path, config: dict, result: PipelineResult, wa
     policies_dir = out_dir / "policies"
     save_archive(policies_dir / "bases.jsonl", _candidate_records(result.bases, result.final_values))
     save_archive(policies_dir / "fine_tuned.jsonl", off_front(result.fine_tuned))
-    direction_records = []
-    for dirs in result.directions:
-        for i, (theta, dw) in enumerate(zip(dirs.retrained_thetas, dirs.weight_deltas)):
-            direction_records.append(
-                ArchiveRecord(
-                    theta=theta,
-                    meta={
-                        "base_index": dirs.base_index,
-                        "direction_index": i + 1,
-                        "weight_delta": dw.tolist(),
-                        "mutually_non_dominated": bool(dirs.mutual_non_dominated[i]),
-                        "degenerate_set": bool(dirs.degenerate),
-                    },
-                )
-            )
+    # One direction per base; "direction_index" stays in the format.
+    direction_records = [
+        ArchiveRecord(
+            theta=dirs.retrained_theta,
+            meta={
+                "base_index": dirs.base_index,
+                "direction_index": 1,
+                "weight_delta": dirs.weight_delta.tolist(),
+                "mutually_non_dominated": bool(dirs.mutual_non_dominated),
+                "degenerate_set": bool(dirs.degenerate),
+            },
+        )
+        for dirs in result.directions
+    ]
     save_archive(policies_dir / "directions.jsonl", direction_records)
     final_members = [result.policies_by_id[p.policy_id] for p in result.archive.points]
     save_archive(policies_dir / "final.jsonl", _candidate_records(final_members, result.final_values))
@@ -216,7 +215,7 @@ def _write_run_artifacts(out_dir: Path, config: dict, result: PipelineResult, wa
                 [
                     c.policy_id,
                     c.base_index,
-                    ";".join(repr(a) for a in c.alphas),
+                    repr(c.alpha),
                     ";".join(repr(x) for x in c.matched_w.tolist()),
                     ";".join(repr(x) for x in c.raw_w.tolist()),
                 ]

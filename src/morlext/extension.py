@@ -6,11 +6,10 @@ parameter-space extension.
    the parameter and weight differences as its local direction.
 3. Generate candidates training-free on a grid of direction
    coefficients: theta = base + alpha * dtheta, each with a matched
-   weight w = w_base + alpha * dw. Directions and coefficients are kept
-   as length-one lists, the shape the run directory's files record. A
-   candidate stores no theta: it is its base's direction set and its
-   coefficients, and theta is formed where it is used (one evaluation
-   chunk, one fine-tuning job, one archive record at a time).
+   weight w = w_base + alpha * dw. A candidate stores no theta: it is
+   its base's direction set and its coefficient alpha, and theta is
+   formed where it is used (one evaluation chunk, one fine-tuning job,
+   one archive record at a time).
 4. Evaluate candidates and keep the pooled non-dominated subset.
 5. Fine-tune briefly, under its matched weight, each survivor the budget
    gives at least one batch; the final archive is the non-dominated
@@ -39,7 +38,7 @@ import contextlib
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -51,8 +50,6 @@ from .policy import ParameterVector, ReturnVector, evaluate_returns
 from .ppo import DivergenceError, PpoConfig, init_actor_critic, steps_taken, train
 from .seeding import derive_seed
 
-# Singular-value ratio at or below which a direction matrix counts as rank deficient.
-RANK_RTOL = 1e-8
 # Policies per lockstep evaluation rollout; it bounds the stacked arrays'
 # memory and, since a candidate's theta is formed inside its chunk, the
 # candidate vectors alive at once. The stacked network pass makes one
@@ -137,45 +134,36 @@ def clip_to_simplex(raw: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DirectionSet:
-    """Local extension directions for one base policy."""
+    """One base policy's local direction: the base, the policy retrained
+    at its shifted weight, their parameter difference `delta` and weight
+    difference `weight_delta`, both policies' final-grade returns, whether
+    those returns are mutually non-dominated, and whether `delta` is zero."""
+
+    # Directions per base; the benchmark's span hook (bench/spans.py) reads it.
+    m = 1
 
     base_index: int
     base_theta: ParameterVector
     base_w: np.ndarray
-    deltas: list[ParameterVector]
-    weight_deltas: list[np.ndarray]
-    retrained_thetas: list[ParameterVector]
+    delta: ParameterVector
+    weight_delta: np.ndarray
+    retrained_theta: ParameterVector
     base_returns: ReturnVector | None = None
-    retrained_returns: list[ReturnVector] = field(default_factory=list)
-    mutual_non_dominated: list[bool] = field(default_factory=list)
+    retrained_returns: ReturnVector | None = None
+    mutual_non_dominated: bool = False
     degenerate: bool = False
 
-    @property
-    def m(self) -> int:
-        return len(self.deltas)
-
-    def theta_at(self, alphas: tuple[float, ...]) -> ParameterVector:
-        """A fresh theta = base + sum_i alpha_i * dtheta_i. The all-zero
-        tuple copies the base and a lone unit coefficient copies that
-        retrained policy, both verbatim so the landmarks are bit-exact."""
-        nonzero = [i for i, a in enumerate(alphas) if a != 0.0]
-        if not nonzero:
+    def theta_at(self, alpha: float) -> ParameterVector:
+        """A fresh theta = base + alpha * delta. alpha = 0 copies the base
+        and alpha = 1 the retrained policy, verbatim so the landmarks are
+        bit-exact."""
+        if alpha == 0.0:
             return self.base_theta.copy()
-        if len(nonzero) == 1 and alphas[nonzero[0]] == 1.0:
-            return self.retrained_thetas[nonzero[0]].copy()
+        if alpha == 1.0:
+            return self.retrained_theta.copy()
         data = self.base_theta.data.copy()
-        for i in nonzero:
-            data += alphas[i] * self.deltas[i].data
+        data += alpha * self.delta.data
         return ParameterVector(data, self.base_theta.layout)
-
-    def direction_matrix(self) -> np.ndarray:
-        return np.stack([d.data for d in self.deltas], axis=1)
-
-
-def check_degenerate(direction_matrix: np.ndarray) -> bool:
-    """True iff the smallest singular value is at most RANK_RTOL times the largest."""
-    svals = np.linalg.svd(direction_matrix, compute_uv=False)
-    return bool(svals.min() <= RANK_RTOL * svals.max())
 
 
 @dataclass
@@ -187,7 +175,7 @@ class CandidatePolicy:
     matched_w: np.ndarray
     raw_w: np.ndarray
     base_index: int
-    alphas: tuple[float, ...]
+    alpha: float
     stage: str  # "extended" or "fine_tuned"
     policy_id: int
     returns: ReturnVector | None = None
@@ -196,13 +184,13 @@ class CandidatePolicy:
 
     @property
     def theta(self) -> ParameterVector:
-        return self.trained if self.direction is None else self.direction.theta_at(self.alphas)
+        return self.trained if self.direction is None else self.direction.theta_at(self.alpha)
 
     @property
     def is_base(self) -> bool:
         """The grid's verbatim copy of its base: an extended policy with
-        every coefficient zero (a fine-tuned copy of it has moved away)."""
-        return self.stage == "extended" and all(a == 0.0 for a in self.alphas)
+        alpha = 0 (a fine-tuned copy of it has moved away)."""
+        return self.stage == "extended" and self.alpha == 0.0
 
 
 @dataclass
@@ -325,8 +313,8 @@ def directional_retrain(
     shifted weight, for its entry of `budgets` steps.
 
     Each base and its retrained policy are checked for mutual
-    non-dominance at final evaluation grade; a violation or a rank
-    deficient direction matrix is flagged, never raised, so degenerate
+    non-dominance at final evaluation grade; a violation or a zero
+    direction is warned about and flagged, never raised, so degenerate
     runs still complete with the direction they found. A base whose
     retraining run diverges gets no direction set.
     """
@@ -344,30 +332,31 @@ def directional_retrain(
             base_index=b.base_index,
             base_theta=b.theta,
             base_w=b.matched_w,
-            deltas=[ParameterVector(theta.data - b.theta.data, b.theta.layout)],
-            weight_deltas=[w - b.matched_w],
-            retrained_thetas=[theta],
+            delta=ParameterVector(theta.data - b.theta.data, b.theta.layout),
+            weight_delta=w - b.matched_w,
+            retrained_theta=theta,
         )
         for b, w, theta in zip(bases, shifted, retrained)
         if theta is not None
     ]
     returns = _evaluate(
-        [theta for dirs in directions for theta in (dirs.base_theta, dirs.retrained_thetas[0])],
+        [theta for dirs in directions for theta in (dirs.base_theta, dirs.retrained_theta)],
         env, cfg.final_eval_episodes, derive_seed(cfg.seed, "eval.final"), ledger,
     )
     for dirs, base_returns, moved_returns in zip(directions, returns[::2], returns[1::2]):
-        dirs.base_returns, dirs.retrained_returns = base_returns, [moved_returns]
+        dirs.base_returns, dirs.retrained_returns = base_returns, moved_returns
         base, moved = base_returns.values, moved_returns.values
-        incomparable = not dominates(base, moved) and not dominates(moved, base)
-        dirs.mutual_non_dominated.append(incomparable)
-        if not incomparable:
+        dirs.mutual_non_dominated = not dominates(base, moved) and not dominates(moved, base)
+        if not dirs.mutual_non_dominated:
             warnings.warn(
                 f"base {dirs.base_index} and its retrain are not mutually non-dominated; keeping the direction",
                 stacklevel=2,
             )
-        dirs.degenerate = check_degenerate(dirs.direction_matrix())
+        dirs.degenerate = not dirs.delta.data.any()
         if dirs.degenerate:
-            warnings.warn(f"direction matrix for base {dirs.base_index} is rank deficient", stacklevel=2)
+            warnings.warn(
+                f"direction for base {dirs.base_index} is zero: its retrain did not move it", stacklevel=2
+            )
     return directions
 
 
@@ -383,22 +372,20 @@ def extend(
     """Enumerate and evaluate the full coefficient grid for one base.
 
     No training happens here, and no candidate stores a theta: each holds
-    `dirs` and its coefficients (see `DirectionSet.theta_at`), and its
+    `dirs` and its coefficient (see `DirectionSet.theta_at`), and its
     theta is formed inside its evaluation chunk. `base_returns`, the
-    base's returns at this grade, are given to the all-zero copy instead
+    base's returns at this grade, are given to the alpha = 0 copy instead
     of rolling it out again.
     """
-    grid = alpha_grid(cfg.alpha_start, cfg.alpha_end, cfg.delta_alpha)
     candidates = []
-    for offset, alphas in enumerate(itertools.product(grid, repeat=dirs.m)):
-        raw_w = dirs.base_w + sum(
-            (a * dw for a, dw in zip(alphas, dirs.weight_deltas)), np.zeros(env.spec.d)
-        )
+    # tolist() gives Python floats, whose repr the run directory records.
+    for offset, alpha in enumerate(alpha_grid(cfg.alpha_start, cfg.alpha_end, cfg.delta_alpha).tolist()):
+        raw_w = dirs.base_w + alpha * dirs.weight_delta
         cand = CandidatePolicy(
             matched_w=clip_to_simplex(raw_w),
             raw_w=raw_w,
             base_index=dirs.base_index,
-            alphas=tuple(float(a) for a in alphas),
+            alpha=alpha,
             stage="extended",
             policy_id=id_start + offset,
             direction=dirs,
@@ -462,7 +449,7 @@ def fine_tune(
                 matched_w=cand.matched_w.copy(),
                 raw_w=cand.raw_w.copy(),
                 base_index=cand.base_index,
-                alphas=cand.alphas,
+                alpha=cand.alpha,
                 stage="fine_tuned",
                 policy_id=id_start + len(out),
                 trained=theta,
@@ -557,14 +544,14 @@ def run_pipeline(
     if len(trained) < 2:
         raise DivergenceError(f"only {len(trained)} of {cfg.K} base policies trained; a front needs two")
 
-    # Base policies as zero-coefficient candidates (id = base index) so the
+    # Base policies as alpha = 0 candidates (id = base index) so the
     # final pool always contains them whatever the grid holds.
     bases = [
         CandidatePolicy(
             matched_w=weights[k].copy(),
             raw_w=weights[k].copy(),
             base_index=k,
-            alphas=(0.0,),
+            alpha=0.0,
             stage="extended",
             policy_id=k,
             trained=base_thetas[k],
@@ -584,8 +571,6 @@ def run_pipeline(
     candidates = []
     next_id = cfg.K
     for dirs in directions:
-        if dirs.degenerate:
-            warnings.warn(f"extending base {dirs.base_index} along a degenerate direction set", stacklevel=2)
         cands = extend(dirs, cfg, env, next_id, select_seed, ledger, base_by_index[dirs.base_index].returns)
         next_id += len(cands)
         candidates.extend(cands)
@@ -600,17 +585,17 @@ def run_pipeline(
 
     # Final-grade values of everything entering the archive pool, one
     # rollout per distinct policy: an extended candidate is its base plus
-    # its coefficients, and stage 2 already rolled out each base (alpha = 0)
-    # and its retrained policy (alpha = 1) at this grade.
+    # alpha times its direction, and stage 2 already rolled out each base
+    # (alpha = 0) and its retrained policy (alpha = 1) at this grade.
     pool = bases + selected + fine_tuned
 
     def policy_key(c: CandidatePolicy):
-        return (c.base_index, c.alphas) if c.stage == "extended" else c.policy_id
+        return (c.base_index, c.alpha) if c.stage == "extended" else c.policy_id
 
     final_returns = {}
     for dirs in directions:
-        final_returns[dirs.base_index, (0.0,)] = dirs.base_returns
-        final_returns[dirs.base_index, (1.0,)] = dirs.retrained_returns[0]
+        final_returns[dirs.base_index, 0.0] = dirs.base_returns
+        final_returns[dirs.base_index, 1.0] = dirs.retrained_returns
     rollouts = {policy_key(c): c for c in pool if policy_key(c) not in final_returns}
     final_returns.update(zip(rollouts, _evaluate(
         (c.theta for c in rollouts.values()), env, cfg.final_eval_episodes, final_seed, ledger
@@ -629,8 +614,7 @@ def run_pipeline(
 
     all_returns = [final_values[pid] for pid in final_values]
     all_returns.extend(c.returns.values for c in bases + candidates + fine_tuned)
-    for dirs in directions:
-        all_returns.extend(r.values for r in dirs.retrained_returns)
+    all_returns.extend(dirs.retrained_returns.values for dirs in directions)
     ref_point = default_reference_point(all_returns)
 
     return PipelineResult(

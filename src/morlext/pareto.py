@@ -130,6 +130,8 @@ def non_dominated_filter(points: Sequence[FrontPoint]) -> ParetoArchive:
 
 
 def _check_ref(front: np.ndarray, ref: np.ndarray) -> None:
+    if not np.all(np.isfinite(ref)):
+        raise ValueError(f"reference point {ref.tolist()} has a non-finite entry")
     bad = np.any(front < ref, axis=1)
     if np.any(bad):
         raise ValueError(
@@ -166,9 +168,9 @@ def hypervolume(archive: ParetoArchive | np.ndarray, ref_point: np.ndarray) -> f
     ref = np.asarray(ref_point, dtype=np.float64)
     if front.ndim != 2 or front.shape[1] != ref.shape[0]:
         raise ValueError("front and reference point disagree on objective count")
+    _check_ref(front, ref)
     if front.shape[0] == 0:
         return 0.0
-    _check_ref(front, ref)
     d = ref.shape[0]
     if d == 1:
         return float(front[:, 0].max() - ref[0])

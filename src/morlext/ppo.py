@@ -38,7 +38,7 @@ small networks, is paid once per stack instead of once per member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
@@ -148,11 +148,11 @@ def compute_gae(
     bootstrap = np.broadcast_to(bootstrap_value, rewards.shape[:-1])[..., None]
     next_values = np.concatenate([values[..., 1:], bootstrap], axis=-1)
     not_done = 1.0 - dones.astype(np.float64)
-    deltas = rewards + gamma * next_values * not_done - values
+    td_errors = rewards + gamma * next_values * not_done - values
     advantages = np.empty(rewards.shape)
     acc = 0.0
     for t in range(rewards.shape[-1] - 1, -1, -1):
-        acc = deltas[..., t] + gamma * lam * not_done[..., t] * acc
+        acc = td_errors[..., t] + gamma * lam * not_done[..., t] * acc
         advantages[..., t] = acc
     return advantages, advantages + values
 
@@ -295,9 +295,9 @@ class Adam:
 
 
 def clip_grad_norm(grad: np.ndarray, max_norm: float) -> np.ndarray:
-    """Scale `grad` in place down to global norm `max_norm`; returns it.
-    A (C, P) stack is clipped row by row."""
-    for row in grad.reshape(-1, grad.shape[-1]):
+    """Scale each row of a (C, P) gradient stack in place down to global
+    norm `max_norm`; returns the stack."""
+    for row in grad:
         norm = float(np.linalg.norm(row))
         if norm > max_norm > 0:
             row *= max_norm / norm
@@ -305,38 +305,30 @@ def clip_grad_norm(grad: np.ndarray, max_norm: float) -> np.ndarray:
 
 
 def ppo_update(
-    theta: ParameterVector,
+    stack: ParameterVector,
     buffer: RolloutBuffer,
     cfg: PpoConfig,
-    rng: np.random.Generator | Sequence[np.random.Generator],
+    rngs: Sequence[np.random.Generator],
     optimizer: Adam | None = None,
-) -> ParameterVector | tuple[ParameterVector, dict[int, DivergenceError]]:
-    """Run `epochs` passes of minibatch clipped-surrogate descent.
+) -> tuple[ParameterVector, dict[int, DivergenceError]]:
+    """Run `epochs` passes of minibatch clipped-surrogate descent on a
+    stack of C policies in lockstep.
 
-    The input vector is not mutated. Pass `optimizer`, an Adam over
-    `theta.data`'s shape, to carry Adam moments across batches within a
-    training run. A single vector raises DivergenceError on a non-finite
-    loss.
-
-    A stack (`theta.data` of shape (C, P), a buffer from
-    `collect_rollout` on it and one generator per member) is updated in
-    lockstep: each minibatch is one stacked `loss_and_grad` call and one
-    Adam step on the matrix. A member whose loss goes non-finite leaves
-    the stack at that minibatch, with its Adam rows, and the others go on
-    as they would alone. The result is then the stack of the remaining
-    members in order and {stack row: DivergenceError} for those that left.
+    `stack.data` has shape (C, P), `buffer` comes from `collect_rollout`
+    on it and `rngs` holds one generator per member. Each minibatch is
+    one stacked `loss_and_grad` call and one Adam step on the matrix. The
+    input stack is not mutated. Pass `optimizer`, an Adam over the (C, P)
+    shape, to carry Adam moments across batches within a training run.
+    A member whose loss goes non-finite leaves the stack at that
+    minibatch, with its Adam rows, and the others go on as they would
+    alone. Returns the stack of the remaining members in order and
+    {stack row: DivergenceError} for those that left.
     """
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else list(rng)
-    # `theta` keeps the caller's shape, which the optimizer's state has;
-    # `stack` views the same memory as (C, P) rows.
-    theta = theta.copy()
+    rngs = list(rngs)
+    stack = stack.copy()
     if optimizer is None:
-        optimizer = Adam(theta.data.shape, cfg.learning_rate)
-    stack = ParameterVector(theta.data.reshape(len(rngs), -1), theta.layout)
+        optimizer = Adam(stack.data.shape, cfg.learning_rate)
     arrays = [buffer.observations, buffer.actions, buffer.log_probs, buffer.advantages, buffer.returns]
-    if single:
-        arrays = [a[None] for a in arrays]
     alive = np.arange(len(rngs))  # buffer row of each stack row
     errors: dict[int, DivergenceError] = {}
     views = UpdateViews(stack)
@@ -356,58 +348,54 @@ def ppo_update(
                 keep = np.isfinite(err.loss)
                 for row in np.flatnonzero(~keep):
                     errors[int(alive[row])] = DivergenceError(f"non-finite PPO loss ({err.loss[row]})")
-                if single:
-                    raise errors[0] from None
                 alive, idx, order = alive[keep], idx[keep], order[keep]
                 rngs = [g for g, k in zip(rngs, keep) if k]
                 optimizer.keep_rows(keep)
-                theta = stack = ParameterVector(stack.data[keep], stack.layout)
+                stack = ParameterVector(stack.data[keep], stack.layout)
                 if not rngs:
                     return stack, errors
                 views = UpdateViews(stack)
                 # The other members' losses were finite, and recomputing them is exact.
                 grad = minibatch_grad(idx)
-            optimizer.step(theta.data, clip_grad_norm(grad, cfg.max_grad_norm).reshape(theta.data.shape))
-    return theta if single else (stack, errors)
+            optimizer.step(stack.data, clip_grad_norm(grad, cfg.max_grad_norm))
+    return stack, errors
 
 
 # ---------------------------------------------------------------------------
 # Rollout collection and the training loop
 
 
-def _reset(env: VectorRewardEnv, rngs: list[np.random.Generator]) -> np.ndarray:
+def _reset(env: VectorRewardEnv, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """One fresh initial observation per member, each from its own generator."""
     return np.concatenate([env.reset_batch(1, g) for g in rngs])
 
 
 def collect_rollout(
-    theta: ParameterVector,
+    stack: ParameterVector,
     env: VectorRewardEnv,
-    weight: np.ndarray,
+    weights: np.ndarray,
     cfg: PpoConfig,
-    rng: np.random.Generator | Sequence[np.random.Generator],
+    rngs: Sequence[np.random.Generator],
     carry: tuple[np.ndarray, int] | None,
 ) -> tuple[RolloutBuffer, tuple[np.ndarray, int]]:
-    """Gather one on-policy batch, scalarizing rewards at storage time.
+    """Gather one on-policy batch per member of a stack of C policies,
+    scalarizing rewards at storage time.
 
-    Episodes auto-reset at the horizon; `carry` is the (observation,
-    step index) of an episode left unfinished by the previous batch.
-
-    A stack (`theta.data` of shape (C, P), weights (C, d) and one
-    generator per member) steps C environments in lockstep, one stacked
-    actor pass per step, each member drawing its noise and resets from
-    its own generator; the buffer's arrays and the carried observations
-    lead with the member axis. The members share the step index, since
-    they start together and the horizon is fixed.
+    `stack.data` has shape (C, P), `weights` (C, d), and `rngs` holds one
+    generator per member. The C environments step in lockstep, one
+    stacked actor pass per step, each member drawing its noise and resets
+    from its own generator; the buffer's arrays and the carried
+    observations lead with the member axis. Episodes auto-reset at the
+    horizon; `carry` is the ((C, obs_dim) observations, step index) of the
+    episodes left unfinished by the previous batch. The members share the
+    step index, since they start together and the horizon is fixed.
     """
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else list(rng)
     c = len(rngs)
-    model = unflatten(ParameterVector(theta.data.reshape(c, -1), theta.layout), copy=False)
+    model = unflatten(stack, copy=False)
     actor = model.policy.mean_net
     log_std = model.policy.log_std
     std = np.exp(log_std)
-    weights = np.reshape(weight, (c, env.spec.d, 1))
+    weights = np.reshape(weights, (c, env.spec.d, 1))
     horizon = env.spec.horizon
 
     n = cfg.steps_per_batch
@@ -423,7 +411,6 @@ def collect_rollout(
         step_index = 0
     else:
         obs, step_index = carry
-        obs = obs.reshape(c, -1)
 
     for t in range(n):
         mean = actor.forward(obs[:, None, :])[:, 0]
@@ -459,7 +446,7 @@ def collect_rollout(
     advantages = (advantages - advantages.mean(axis=-1, keepdims=True)) / (
         advantages.std(axis=-1, keepdims=True) + 1e-8
     )
-    buffer = RolloutBuffer(
+    return RolloutBuffer(
         observations=obs_buf,
         actions=act_buf,
         log_probs=logp_buf,
@@ -468,11 +455,7 @@ def collect_rollout(
         dones=done_buf,
         advantages=advantages,
         returns=returns,
-    )
-    if single:
-        buffer = RolloutBuffer(**{f.name: getattr(buffer, f.name)[0] for f in fields(buffer)})
-        return buffer, (obs[0], step_index)
-    return buffer, (obs, step_index)
+    ), (obs, step_index)
 
 
 def steps_taken(total_steps: int, cfg: PpoConfig) -> int:
@@ -508,12 +491,13 @@ def train(
     non-finite leaves the stack at that minibatch, and its DivergenceError
     takes the place of its vector in the list.
     """
-    single = isinstance(theta, ParameterVector)
-    if single:
-        thetas, weights, seeds, logs = [theta], [weight], [seed], [log_stream]
-    else:
-        thetas, weights, seeds = list(theta), list(weight), list(seed)
-        logs = [None] * len(thetas) if log_stream is None else list(log_stream)
+    if isinstance(theta, ParameterVector):
+        (out,) = train([theta], env, [weight], total_steps, cfg, [seed], [log_stream], member_steps=member_steps)
+        if isinstance(out, DivergenceError):
+            raise out
+        return out
+    thetas, weights, seeds = list(theta), list(weight), list(seed)
+    logs = [None] * len(thetas) if log_stream is None else list(log_stream)
     budgets = [total_steps] * len(thetas) if member_steps is None else list(member_steps)
     if not len(thetas) == len(weights) == len(seeds) == len(logs) == len(budgets):
         raise ValueError("need one weight, seed, log stream and step budget per policy")
@@ -527,7 +511,7 @@ def train(
     results: list[ParameterVector | DivergenceError] = [t.copy() for t in thetas]
     members = [m for m, n in enumerate(n_batches) if n > 0]  # member of each stack row
     if not members:
-        return results[0] if single else results
+        return results
     stack = ParameterVector(np.stack([thetas[m].data for m in members]), layout)
     weights = weights[members]
     rngs = [np.random.default_rng(np.random.SeedSequence(seeds[m])) for m in members]
@@ -562,10 +546,6 @@ def train(
         carry = (carry[0][keep], carry[1])
         if not members:
             break
-    if single:
-        if isinstance(results[0], DivergenceError):
-            raise results[0]
-        return results[0]
     return results
 
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extension import check_degenerate
+# Singular-value ratio at or below which a direction matrix counts as rank deficient.
+RANK_RTOL = 1e-8
 
 
 @dataclass
@@ -84,6 +85,13 @@ class QuadraticObjectiveFamily:
         for i in range(self.d):
             grad += weight[i] * (-2.0) * (self.curvatures[i] @ (theta - self.centers[i]))
         return grad
+
+
+def check_degenerate(directions: np.ndarray) -> bool:
+    """True iff the direction matrix's smallest singular value is at most
+    RANK_RTOL times its largest."""
+    svals = np.linalg.svd(directions, compute_uv=False)
+    return bool(svals.min() <= RANK_RTOL * svals.max())
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +185,15 @@ def lle_error_curve(
     fam: QuadraticObjectiveFamily,
     base_theta: np.ndarray,
     directions: np.ndarray,
-    alphas: np.ndarray,
+    coefficients: np.ndarray,
     front_points: int = 100_001,
     fit_window: tuple[float, float] = (0.05, 0.5),
 ) -> ErrorCurve:
     """Distance from extrapolated returns to the exact front, per step size.
 
-    theta(alpha) = base + D alpha; distance is measured in return space
-    against the dense analytic front polyline.
+    theta(alpha) = base + D alpha for each row alpha of `coefficients`
+    (a 1-D array holds one coefficient per row); distance is measured in
+    return space against the dense analytic front polyline.
     """
     base_theta = np.asarray(base_theta, dtype=np.float64)
     directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
@@ -192,13 +201,13 @@ def lle_error_curve(
         raise ValueError("direction matrix must have one row per parameter dimension")
     if check_degenerate(directions):
         raise ValueError("direction matrix is numerically rank deficient")
-    alphas = np.asarray(alphas, dtype=np.float64)
-    if alphas.ndim == 1:
-        alphas = alphas[:, None]
+    coefficients = np.asarray(coefficients, dtype=np.float64)
+    if coefficients.ndim == 1:
+        coefficients = coefficients[:, None]
     _, front = pareto_path(fam, front_points)
-    thetas = base_theta[None, :] + alphas @ directions.T
+    thetas = base_theta[None, :] + coefficients @ directions.T
     dists = polyline_distance(fam.values(thetas), front)
-    norms = np.linalg.norm(alphas, axis=1)
+    norms = np.linalg.norm(coefficients, axis=1)
     order = np.argsort(norms)
     return ErrorCurve(
         alpha_norms=norms[order], distances=dists[order], fit_window=fit_window
@@ -235,11 +244,11 @@ PRESET_BASE_WEIGHT = np.array([0.5, 0.5])
 PRESET_DELTA_S = 0.1
 
 
-def preset_error_curve(name: str, alphas: np.ndarray | None = None) -> ErrorCurve:
+def preset_error_curve(name: str, coefficients: np.ndarray | None = None) -> ErrorCurve:
     """Error curve for a named preset with its standard base and directions."""
     fam = preset_family(name)
-    if alphas is None:
-        alphas = np.geomspace(0.01, 1.0, 41)
+    if coefficients is None:
+        coefficients = np.geomspace(0.01, 1.0, 41)
     base = fam.scalarized_optimum(PRESET_BASE_WEIGHT)
     directions = retrain_directions(fam, PRESET_BASE_WEIGHT, PRESET_DELTA_S)
-    return lle_error_curve(fam, base, directions, alphas)
+    return lle_error_curve(fam, base, directions, coefficients)

@@ -377,3 +377,26 @@ def test_metrics_default_ref_point_is_front_min_minus_one(run_dir, capsys):
 def test_metrics_ref_point_wrong_length_is_usage_error(run_dir, capsys):
     assert main(["metrics", str(run_dir / "front.csv"), "--ref-point=-1,-1,-1"]) == 1
     assert "reference point has 3 entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ref", ["nan,0", "-inf,0"])
+def test_metrics_non_finite_ref_point_is_usage_error(run_dir, capsys, ref):
+    assert main(["metrics", str(run_dir / "front.csv"), f"--ref-point={ref}"]) == 1
+    captured = capsys.readouterr()
+    assert "non-finite" in captured.err and captured.out == ""
+
+
+def test_run_dir_records_each_coefficient_as_one_float(run_dir):
+    with open(run_dir / "candidates.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for row in rows:
+        float(row["alphas"])  # raises on a numpy repr such as 'np.float64(0.5)'
+    for name in ("bases", "final", "selected"):
+        for record in archive.load_archive(run_dir / "policies" / f"{name}.jsonl", ()):
+            alphas = record.meta["alphas"]
+            assert isinstance(alphas, list) and len(alphas) == 1 and type(alphas[0]) is float, (name, alphas)
+    bases = [r.meta["base_index"] for r in archive.load_archive(run_dir / "policies" / "bases.jsonl", ())]
+    directions = archive.load_archive(run_dir / "policies" / "directions.jsonl", ())
+    assert [r.meta["base_index"] for r in directions] == bases
+    assert all(r.meta["direction_index"] == 1 for r in directions)

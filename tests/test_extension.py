@@ -125,9 +125,9 @@ def test_clip_to_simplex():
 
 
 def base_policy(theta, weight, k=0):
-    """Base k as the pipeline holds it: a zero-coefficient candidate with id k."""
+    """Base k as the pipeline holds it: an alpha = 0 candidate with id k."""
     return CandidatePolicy(
-        matched_w=weight, raw_w=weight, base_index=k, alphas=(0.0,), stage="extended", policy_id=k, trained=theta
+        matched_w=weight, raw_w=weight, base_index=k, alpha=0.0, stage="extended", policy_id=k, trained=theta
     )
 
 
@@ -150,7 +150,7 @@ def test_directional_retrain_counts(small_run):
     assert dirs.m == env.spec.d - 1 == 1
     assert ledger.retrain_steps == 2 * ppo_cfg.steps_per_batch
     assert not dirs.degenerate
-    assert np.allclose(dirs.weight_deltas[0], [-0.1, 0.1])
+    assert np.allclose(dirs.weight_delta, [-0.1, 0.1])
 
 
 def test_zero_budget_retrain_is_degenerate():
@@ -158,26 +158,26 @@ def test_zero_budget_retrain_is_degenerate():
     cfg = tiny_cfg()
     ppo_cfg = tiny_ppo()
     theta = init_actor_critic(env, seed=1, hidden=(8, 8))
-    with pytest.warns(UserWarning, match="rank deficient"):
+    with pytest.warns(UserWarning, match="direction for base 0 is zero"):
         (dirs,) = directional_retrain(
             [base_policy(theta, np.array([0.5, 0.5]))], env, cfg, ppo_cfg, [0], BudgetLedger()
         )
     assert dirs.degenerate
-    assert np.allclose(dirs.deltas[0].data, 0.0)
+    assert np.allclose(dirs.delta.data, 0.0)
 
 
 def test_extend_identity_and_endpoint_bit_exact(small_run):
     env, cfg, ppo_cfg, dirs, ledger = small_run
     cands = extend(dirs, cfg, env, 100, 7, ledger)
     grid = alpha_grid(cfg.alpha_start, cfg.alpha_end, cfg.delta_alpha)
-    assert [c.alphas for c in cands] == [(a,) for a in grid]
-    base, delta = dirs.base_theta.data, dirs.deltas[0].data
+    assert [c.alpha for c in cands] == list(grid)
+    base, delta = dirs.base_theta.data, dirs.delta.data
     for c in cands:
-        (a,) = c.alphas
+        a = c.alpha
         if a == 0.0:
             expected = base
         elif a == 1.0:
-            expected = dirs.retrained_thetas[0].data
+            expected = dirs.retrained_theta.data
         else:
             expected = base + a * delta
         assert np.array_equal(c.theta.data, expected), a
@@ -212,8 +212,8 @@ def test_extend_memory_does_not_grow_with_the_grid():
     moved.data += 0.01 * np.random.default_rng(81).standard_normal(moved.data.shape)
     dirs = DirectionSet(
         base_index=0, base_theta=base, base_w=np.array([0.5, 0.5]),
-        deltas=[ParameterVector(moved.data - base.data, base.layout)],
-        weight_deltas=[np.array([-0.1, 0.1])], retrained_thetas=[moved],
+        delta=ParameterVector(moved.data - base.data, base.layout),
+        weight_delta=np.array([-0.1, 0.1]), retrained_theta=moved,
     )
     small = extend_peak_bytes(dirs, env, 2 / 128)
     large = extend_peak_bytes(dirs, env, 2 / 256)
@@ -234,7 +234,7 @@ def test_extend_matched_weights(small_run):
     env, cfg, ppo_cfg, dirs, ledger = small_run
     cands = extend(dirs, cfg, env, 0, 3, ledger)
     for c in cands:
-        raw = dirs.base_w + c.alphas[0] * dirs.weight_deltas[0]
+        raw = dirs.base_w + c.alpha * dirs.weight_delta
         assert np.allclose(c.raw_w, raw)
         assert c.matched_w.min() >= 0 and c.matched_w.sum() == pytest.approx(1.0)
 
@@ -297,9 +297,9 @@ def test_fine_tuned_copy_of_base_is_not_a_base(small_run):
     env, cfg, ppo_cfg, dirs, _ = small_run
     ledger = BudgetLedger()
     zero = [c for c in extend(dirs, cfg, env, 6000, 9, ledger) if c.is_base]
-    assert [c.alphas for c in zero] == [(0.0,)]
+    assert [c.alpha for c in zero] == [0.0]
     (tuned,) = fine_tune(zero, env, cfg, ppo_cfg, [ppo_cfg.steps_per_batch], 7000, 9, ledger)
-    assert tuned.alphas == (0.0,) and tuned.stage == "fine_tuned"
+    assert tuned.alpha == 0.0 and tuned.stage == "fine_tuned"
     assert not tuned.is_base
 
 
@@ -407,9 +407,9 @@ def test_pipeline_evaluates_each_policy_once_per_grade(reference_k3):
     horizon = DualGoal().spec.horizon
     n_dirs = len(result.directions)
     zero_copies = [c for c in result.candidates if c.is_base]
-    selected_copies = [c for c in result.selected if c.alphas in ((0.0,), (1.0,))]
+    selected_copies = [c for c in result.selected if c.alpha in (0.0, 1.0)]
     assert len(zero_copies) == n_dirs > 0
-    assert {c.alphas for c in selected_copies} == {(0.0,), (1.0,)}
+    assert {c.alpha for c in selected_copies} == {0.0, 1.0}
     final_grade = (
         len(result.bases) + n_dirs + len(result.selected) - len(selected_copies) + len(result.fine_tuned)
     )
@@ -504,7 +504,7 @@ def test_pipeline_provenance(pipeline_result):
         cand = result.policies_by_id[point.policy_id]
         assert cand.stage in ("extended", "fine_tuned")
         assert 0 <= cand.base_index < cfg.K
-        assert len(cand.alphas) == 1
+        assert type(cand.alpha) is float
 
 
 def test_pipeline_deterministic():
@@ -613,6 +613,37 @@ def test_diverged_retrain_keeps_its_base_unextended(monkeypatch):
     assert result.ledger.retrain_steps == 2 * tiny_ppo().steps_per_batch
 
 
+def test_zero_direction_is_warned_about_once_per_base(monkeypatch, tmp_path):
+    """Retraining that returns its input unchanged gives every base a zero
+    direction: one warning per base, and a degenerate direction record."""
+    from morlext.archive import load_archive
+
+    real = extension.train
+    retrain_seeds = {derive_seed(0, "retrain", k, 1) for k in range(3)}
+
+    def unmoved_retrain(thetas, env, weights, total_steps, cfg, seeds, log_streams=None, *, member_steps=None):
+        if set(seeds) <= retrain_seeds:
+            return [theta.copy() for theta in thetas]
+        return real(thetas, env, weights, total_steps, cfg, seeds, log_streams, member_steps=member_steps)
+
+    monkeypatch.setattr(extension, "train", unmoved_retrain)
+    config = tmp_path / "c.ini"
+    config.write_text(
+        f"[run]\nenv = dual_goal\noutput_dir = {tmp_path / 'run'}\ntotal_budget = {DIVERGE_BUDGET}\n"
+        "seed = 0\n[lle]\nk = 3\ndelta_alpha = 0.5\neval_episodes = 2\nfinal_eval_episodes = 4\n"
+        "[ppo]\nsteps_per_batch = 64\nminibatches = 4\nepochs = 2\n"
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(config)]) == 0
+    messages = [str(w.message) for w in caught]
+    zero = [m for m in messages if "direction" in m or "degenerate" in m]
+    assert zero == [f"direction for base {k} is zero: its retrain did not move it" for k in range(3)]
+    records = load_archive(tmp_path / "run" / "policies" / "directions.jsonl", ())
+    assert [r.meta["base_index"] for r in records] == [0, 1, 2]
+    assert all(r.meta["degenerate_set"] is True and r.meta["direction_index"] == 1 for r in records)
+
+
 def test_diverged_fine_tune_drops_only_its_output(monkeypatch, reference_k3):
     first = reference_k3.selected[0]
     assert len(reference_k3.fine_tuned) >= 2
@@ -649,12 +680,12 @@ def test_retraining_moves_performance_toward_new_preference():
         with w_mod.catch_warnings():
             w_mod.simplefilter("ignore")
             (dirs,) = directional_retrain([base_policy(base, base_w)], env, cfg, ppo_cfg, [5_120], BudgetLedger())
-        shifted_w = base_w + dirs.weight_deltas[0]
-        differs = not np.array_equal(dirs.base_returns.values, dirs.retrained_returns[0].values)
-        improved = float(shifted_w @ dirs.retrained_returns[0].values) >= float(
+        shifted_w = base_w + dirs.weight_delta
+        differs = not np.array_equal(dirs.base_returns.values, dirs.retrained_returns.values)
+        improved = float(shifted_w @ dirs.retrained_returns.values) >= float(
             shifted_w @ dirs.base_returns.values
         )
-        assert len(dirs.mutual_non_dominated) == 1  # flag recorded either way
+        assert isinstance(dirs.mutual_non_dominated, bool)  # flag recorded either way
         good += differs and improved
     assert good >= 8, f"only {good}/10 seeds moved toward the shifted preference"
 
@@ -667,11 +698,11 @@ def test_fine_tuning_improves_scalarized_return_on_most_candidates():
         w_mod.simplefilter("ignore")
         result = run_pipeline(DualGoal(), LleConfig(K=4, seed=0), PpoConfig(), total_budget=60_000)
     before_by_key = {
-        (c.base_index, c.alphas): float(c.matched_w @ c.returns.values) for c in result.selected
+        (c.base_index, c.alpha): float(c.matched_w @ c.returns.values) for c in result.selected
     }
     improved, total = 0, 0
     for tuned in result.fine_tuned:
-        before = before_by_key.get((tuned.base_index, tuned.alphas))
+        before = before_by_key.get((tuned.base_index, tuned.alpha))
         if before is None:
             continue
         total += 1

@@ -200,6 +200,12 @@ def test_hv_ref_must_be_dominated():
         hypervolume(np.array([[1.0, 1.0]]), np.array([2.0, 0.0]))
 
 
+@pytest.mark.parametrize("ref", [[np.nan, 0.0], [-np.inf, 0.0]])
+def test_hv_ref_must_be_finite(ref):
+    with pytest.raises(ValueError, match="non-finite"):
+        hypervolume(np.array([[1.0, 1.0]]), np.array(ref))
+
+
 def test_hv_monotone_under_added_points():
     rng = np.random.default_rng(0)
     front = rng.uniform(1, 2, size=(6, 2))

@@ -143,9 +143,16 @@ def test_clipping_actually_active_in_frozen_batch():
 # Updates
 
 
+def stack_of_one(theta):
+    """`theta` as a (1, P) stack."""
+    from morlext.policy import ParameterVector
+
+    return ParameterVector(theta.data[None], theta.layout)
+
+
 def make_buffer(env, theta, cfg, seed=0):
     rng = np.random.default_rng(seed)
-    buf, _ = collect_rollout(theta, env, np.array([0.5, 0.5]), cfg, rng, None)
+    buf, _ = collect_rollout(stack_of_one(theta), env, np.array([[0.5, 0.5]]), cfg, [rng], None)
     return buf
 
 
@@ -155,9 +162,10 @@ def test_update_lr_zero_is_identity():
     cfg = small_cfg()
     buf = make_buffer(env, theta, cfg)
     # PpoConfig rejects learning_rate=0, so the zero-step optimizer is passed in.
-    zero_lr = Adam(theta.layout.size, lr=0.0)
-    out = ppo_update(theta, buf, cfg, np.random.default_rng(0), zero_lr)
-    assert np.array_equal(out.data, theta.data)
+    zero_lr = Adam((1, theta.layout.size), lr=0.0)
+    out, errors = ppo_update(stack_of_one(theta), buf, cfg, [np.random.default_rng(0)], zero_lr)
+    assert errors == {}
+    assert np.array_equal(out.data[0], theta.data)
 
 
 def test_update_zero_advantages_only_moves_critic():
@@ -166,11 +174,11 @@ def test_update_zero_advantages_only_moves_critic():
     cfg = small_cfg()
     buf = make_buffer(env, theta, cfg)
     buf.advantages[:] = 0.0
-    out = ppo_update(theta, buf, cfg, np.random.default_rng(0))
+    out, _ = ppo_update(stack_of_one(theta), buf, cfg, [np.random.default_rng(0)])
     offsets = theta.layout.offsets()
     for key, _ in theta.layout.entries:
         start, end, _ = offsets[key]
-        same = np.array_equal(out.data[start:end], theta.data[start:end])
+        same = np.array_equal(out.data[0, start:end], theta.data[start:end])
         if key.startswith("actor"):
             assert same, f"{key} moved with zero advantages"
         else:
@@ -183,7 +191,9 @@ def test_update_does_not_mutate_input():
     snapshot = theta.data.copy()
     cfg = small_cfg()
     buf = make_buffer(env, theta, cfg)
-    ppo_update(theta, buf, cfg, np.random.default_rng(0))
+    stack = stack_of_one(theta)
+    ppo_update(stack, buf, cfg, [np.random.default_rng(0)])
+    assert np.array_equal(stack.data[0], snapshot)
     assert np.array_equal(theta.data, snapshot)
 
 
@@ -202,8 +212,9 @@ def test_non_finite_loss_reports_divergence():
     cfg = small_cfg()
     buf = make_buffer(env, theta, cfg)
     buf.returns[:] = np.inf  # poisons the value loss
-    with pytest.raises(DivergenceError):
-        ppo_update(theta, buf, cfg, np.random.default_rng(0))
+    out, errors = ppo_update(stack_of_one(theta), buf, cfg, [np.random.default_rng(0)])
+    assert isinstance(errors[0], DivergenceError)
+    assert out.data.shape == (0, theta.layout.size)
 
 
 # ---------------------------------------------------------------------------

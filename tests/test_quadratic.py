@@ -97,7 +97,7 @@ def test_error_at_alpha_zero_within_discretization_tolerance():
 
 def test_error_vanishes_first_order_near_zero():
     """dist(alpha)/alpha stays bounded by the small-range maximum ratio."""
-    curve = preset_error_curve("curved", alphas=np.geomspace(1e-3, 0.1, 25))
+    curve = preset_error_curve("curved", coefficients=np.geomspace(1e-3, 0.1, 25))
     ratios = curve.distances / curve.alpha_norms
     c = ratios.max()
     assert np.all(curve.distances <= c * curve.alpha_norms * (1 + 1e-9))
