@@ -313,9 +313,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    if args.eu_samples < 1:
+        raise ConfigError(f"--eu-samples must be at least 1, got {args.eu_samples}")
     archive = load_front_table(args.front_table)
     if args.ref_point is not None:
-        ref = np.array([float(v) for v in args.ref_point.split(",")])
+        try:
+            ref = np.array([float(v) for v in args.ref_point.split(",")])
+        except ValueError:
+            raise ConfigError(f"--ref-point must be comma-separated numbers, got {args.ref_point!r}") from None
         if ref.shape[0] != archive.d:
             raise ConfigError(f"reference point has {ref.shape[0]} entries, front has {archive.d}")
     else:

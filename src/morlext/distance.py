@@ -31,8 +31,8 @@ def hungarian_solve(cost: np.ndarray) -> Matching:
 
     Shortest-augmenting-path formulation with row/column potentials
     (Jonker-Volgenant style). Each augmenting step scans the free columns
-    as one array pass; ties go to the lowest column. Rows and columns are
-    0-indexed.
+    as one array pass, updating buffers allocated once in place; ties go
+    to the lowest column. Rows and columns are 0-indexed.
     """
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
@@ -46,24 +46,41 @@ def hungarian_solve(cost: np.ndarray) -> Matching:
     # match_col[j] = row assigned to column j (1-based rows, 0 = free)
     match_col = np.zeros(n + 1, dtype=np.int64)
     way = np.zeros(n + 1, dtype=np.int64)
+    # Per-row state, allocated once. minv is held at inf on used columns,
+    # whose value is never read again, so argmin skips them and
+    # `minv -= delta` leaves them.
+    minv = np.empty(n + 1)
+    used = np.empty(n + 1, dtype=bool)
+    free = np.empty(n + 1, dtype=bool)
+    used_rows = np.empty(n + 1, dtype=bool)
+    cur = np.empty(n)
+    better = np.empty(n, dtype=bool)
+    minv_cols, way_cols, v_cols, free_cols = minv[1:], way[1:], v[1:], free[1:]
     for i in range(1, n + 1):
         match_col[0] = i
         j0 = 0
-        minv = np.full(n + 1, inf)
-        used = np.zeros(n + 1, dtype=bool)
+        minv.fill(inf)
+        used.fill(False)
+        free.fill(True)
+        used_rows.fill(False)
         while True:
             used[j0] = True
+            free[j0] = False
+            minv[j0] = inf
             i0 = match_col[j0]
-            cur = (cost[i0 - 1] - u[i0]) - v[1:]
-            better = (cur < minv[1:]) & ~used[1:]
-            minv[1:][better] = cur[better]
-            way[1:][better] = j0
-            j1 = int(np.argmin(np.where(used, inf, minv)))
+            used_rows[i0] = True
+            np.subtract(cost[i0 - 1], u[i0], out=cur)
+            cur -= v_cols
+            np.less(cur, minv_cols, out=better)
+            better &= free_cols
+            np.copyto(minv_cols, cur, where=better)
+            np.copyto(way_cols, j0, where=better)
+            j1 = int(minv.argmin())
             delta = minv[j1]
-            # The used columns hold distinct rows, so this update is elementwise.
-            u[match_col[used]] += delta
-            v[used] -= delta
-            minv[~used] -= delta
+            # used_rows marks match_col[used]: the used columns hold distinct rows.
+            np.add(u, delta, out=u, where=used_rows)
+            np.subtract(v, delta, out=v, where=used)
+            minv -= delta
             j0 = j1
             if match_col[j0] == 0:
                 break
@@ -95,7 +112,8 @@ def layer_matching_cost(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"layer shapes differ: {a.shape} vs {b.shape}")
     diffs = a[:, None, :] - b[None, :, :]
-    cost = np.sqrt(np.sum(diffs**2, axis=2))
+    np.square(diffs, out=diffs)
+    cost = np.sqrt(np.sum(diffs, axis=2))
     return hungarian_solve(cost).total_cost
 
 

@@ -54,12 +54,14 @@ from .policy import (
     unflatten,
 )
 
-# Rows per critic pass over a rollout batch. OpenBLAS runs a matrix product
-# on a second thread once m*n*k exceeds 262,144; a whole 512-row batch
-# through a 64x64 hidden layer (2.1M) crosses that, and the woken thread
-# then busy-waits through the single-threaded minibatch work that follows.
-# 64-row blocks stay below it and give bit-identical values.
-VALUE_PASS_ROWS = 64
+# OpenBLAS runs a matrix product on a second thread once m*n*k exceeds
+# this; the woken thread then busy-waits through the single-threaded work
+# that follows.
+BLAS_ONE_THREAD_MNK = 262_144
+# Rows per critic pass over a rollout batch: a whole 512-row batch through
+# a 64x64 hidden layer (2.1M) crosses the threshold, 64-row blocks stay at
+# it and give bit-identical values.
+VALUE_PASS_ROWS = BLAS_ONE_THREAD_MNK // (64 * 64)
 
 
 class DivergenceError(RuntimeError):

@@ -379,6 +379,20 @@ def test_metrics_ref_point_wrong_length_is_usage_error(run_dir, capsys):
     assert "reference point has 3 entries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--ref-point=abc,1", "--ref-point must be comma-separated numbers, got 'abc,1'"),
+        ("--eu-samples=0", "--eu-samples must be at least 1, got 0"),
+        ("--eu-samples=-5", "--eu-samples must be at least 1, got -5"),
+    ],
+)
+def test_metrics_flag_errors_name_their_flag(run_dir, capsys, flag, message):
+    assert main(["metrics", str(run_dir / "front.csv"), flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 @pytest.mark.parametrize("ref", ["nan,0", "-inf,0"])
 def test_metrics_non_finite_ref_point_is_usage_error(run_dir, capsys, ref):
     assert main(["metrics", str(run_dir / "front.csv"), f"--ref-point={ref}"]) == 1

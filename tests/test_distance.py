@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from morlext.distance import hungarian_distance, hungarian_solve, incoming_matrices
+from morlext.distance import hungarian_distance, hungarian_solve, incoming_matrices, layer_matching_cost
 from morlext.policy import ActorCritic, default_specs, flatten
 
 
@@ -129,6 +129,31 @@ def test_solver_equals_loop_reference_bit_for_bit(n, kind):
         m = hungarian_solve(cost)
         assert m.assignment.tolist() == assignment.tolist()
         assert m.total_cost == total
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_solver_equals_loop_reference_on_near_permutations(n):
+    # The shape `distance` meets: neuron descriptors against a reordered,
+    # slightly perturbed copy of themselves.
+    rng = np.random.default_rng(1000 + n)
+    for trial in range(2):
+        a = rng.standard_normal((n, n + 1))
+        b = a[rng.permutation(n)] + 0.05 * rng.standard_normal(a.shape)
+        cost = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+        assignment, total = _reference_hungarian_solve(cost)
+        m = hungarian_solve(cost)
+        assert m.assignment.tolist() == assignment.tolist()
+        assert m.total_cost == total
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 7), (64, 65)])
+def test_layer_matching_cost_equals_the_squared_difference_formula(shape):
+    rng = np.random.default_rng(shape[0])
+    a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+    a_before, b_before = a.copy(), b.copy()
+    cost = np.sqrt(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2))
+    assert layer_matching_cost(a, b) == hungarian_solve(cost).total_cost
+    assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
 
 
 # ---------------------------------------------------------------------------

@@ -410,6 +410,64 @@ def test_front_table_rejects_garbage(tmp_path):
         load_front_table(path)
 
 
+@pytest.mark.parametrize(
+    "returns",
+    [[1.0, np.nan], [np.inf, 0.0], [-np.inf], [[1.0], [np.nan]], np.nan, [1e308, 1e308], [], [[2.0], [3.0]], 4.0],
+)
+def test_front_point_rejects_exactly_what_isfinite_rejects(returns):
+    if np.isfinite(np.asarray(returns, dtype=np.float64)).all():
+        FrontPoint(returns, 0)
+    else:
+        with pytest.raises(ValueError, match="non-finite"):
+            FrontPoint(returns, 0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_front_table_keeps_ids_order_and_return_bytes(tmp_path, d):
+    rng = np.random.default_rng(d)
+    rows = rng.normal(scale=100.0, size=(300, d))
+    rows[::7] = np.nextafter(rows[::7], np.inf)
+    rows[3] = -0.0
+    lines = ["policy_id," + ",".join(f"obj_{k + 1}" for k in range(d)) + ",stage"]
+    lines += [f"p{i}," + ",".join(repr(float(v)) for v in row) + f",s{i % 3}" for i, row in enumerate(rows)]
+    lines.insert(5, "")
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join(lines) + "\n")
+    table = load_front_table(path)
+    assert table.d == d
+    assert [(p.policy_id, p.stage) for p in table.points] == [(f"p{i}", f"s{i % 3}") for i in range(300)]
+    assert [p.returns.tobytes() for p in table.points] == [row.tobytes() for row in rows]
+
+
+HEADER = "policy_id,obj_1,obj_2,stage\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "not a front table (header None)"),
+        ("nope,nope\n1,2\n", "not a front table (header ['nope', 'nope'])"),
+        (HEADER, "front table has no rows"),
+        (HEADER + "\n\n", "front table has no rows"),
+        (HEADER + "a,1,2,s\nb,1,2\n", "row has 3 fields, expected 4"),
+        (HEADER + "a,1,abc,s\n", "could not convert string to float: 'abc'"),
+        (HEADER + "a,1,2,s\nb,nan,2,s\n", "front point has non-finite returns"),
+        (HEADER + "a,1,1e400,s\n", "front point has non-finite returns"),
+        # The first bad row decides the error, whatever comes after it.
+        (HEADER + "a,inf,2,s\nb,1,2\n", "front point has non-finite returns"),
+        (HEADER + "a,-inf,2,s\nb,1,abc,s\n", "front point has non-finite returns"),
+        (HEADER + "a,1,2\nb,nan,2,s\n", "row has 3 fields, expected 4"),
+        (HEADER + "a,nan,abc,s\n", "could not convert string to float: 'abc'"),
+    ],
+)
+def test_front_table_errors(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_front_table(path)
+    assert str(err.value).removeprefix(f"{path}: ") == message
+
+
 def test_default_reference_point():
     ref = default_reference_point([np.array([1.0, 5.0]), np.array([3.0, 2.0])])
     assert np.allclose(ref, [0.0, 1.0])
