@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import json
 import math
 import os
@@ -315,6 +316,8 @@ def cmd_run(args) -> int:
 def cmd_metrics(args) -> int:
     if args.eu_samples < 1:
         raise ConfigError(f"--eu-samples must be at least 1, got {args.eu_samples}")
+    if args.eu_seed < 0:
+        raise ConfigError(f"--eu-seed must be at least 0, got {args.eu_seed}")
     archive = load_front_table(args.front_table)
     if args.ref_point is not None:
         try:
@@ -404,7 +407,9 @@ def cmd_front_export(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="morlext",
         description="Scalarized PPO training with training-free Pareto front extension",
@@ -414,40 +419,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute the full pipeline from a config file")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--output-dir", default=None, help="override [run] output_dir")
-    p_run.set_defaults(func=cmd_run)
 
     p_metrics = sub.add_parser("metrics", help="recompute hv/eu/sp from a front table")
     p_metrics.add_argument("front_table")
     p_metrics.add_argument("--ref-point", default=None, help="comma-separated override")
     p_metrics.add_argument("--eu-samples", type=int, default=EU_DEFAULT_SAMPLES)
     p_metrics.add_argument("--eu-seed", type=int, default=0)
-    p_metrics.set_defaults(func=cmd_metrics)
 
     p_dist = sub.add_parser("distance", help="matching distance between two archived policies")
     p_dist.add_argument("archive_a")
     p_dist.add_argument("archive_b")
     p_dist.add_argument("--entry-a", type=int, default=0)
     p_dist.add_argument("--entry-b", type=int, default=0)
-    p_dist.set_defaults(func=cmd_distance)
 
     p_synth = sub.add_parser("synth-check", help="closed-form extrapolation error harness")
     p_synth.add_argument("preset", help="flat or curved")
     p_synth.add_argument("--output", default=None, help="write the curve table here")
-    p_synth.set_defaults(func=cmd_synth_check)
 
     p_export = sub.add_parser("front-export", help="front table from an archived policy set")
     p_export.add_argument("policies", help="policy archive (.jsonl) with return metadata")
     p_export.add_argument("-o", "--output", required=True)
-    p_export.set_defaults(func=cmd_front_export)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up at call time, so a replaced module attribute is the one called.
+    command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
-        return args.func(args)
-    except (ConfigError, FileNotFoundError) as err:
+        return command(args)
+    except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (DivergenceError, FloatingPointError) as err:

@@ -26,13 +26,14 @@ are stacked networks, so a rollout step is one stacked actor pass over C
 environments and a minibatch is one stacked `loss_and_grad` call and one
 Adam step on the matrix; a single policy is a stack of one. A member
 leaves the stack, with its Adam rows, generator and carried observation,
-after its last whole batch or at the minibatch where its loss goes
+after its last whole batch or after the batch in which its loss went
 non-finite, and the others go on as they would alone.
 Each member draws from its own generator in the order it would alone,
 and every operation on the stack either works row by row (elementwise
 arithmetic, sums along a row, one norm per row) or makes one BLAS call
 per member (a stacked product), so each member rounds exactly as it
-would trained alone. Per-call numpy overhead, which dominates these
+would trained alone, and a diverged member's non-finite rows cannot
+reach the others' bits. Per-call numpy overhead, which dominates these
 small networks, is paid once per stack instead of once per member.
 """
 
@@ -65,12 +66,7 @@ VALUE_PASS_ROWS = BLAS_ONE_THREAD_MNK // (64 * 64)
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an update produces a non-finite loss; `loss` holds that
-    loss, one entry per member when a stack was updated."""
-
-    def __init__(self, message: str, loss: float | np.ndarray | None = None):
-        super().__init__(message)
-        self.loss = loss
+    """A training run whose PPO loss went non-finite."""
 
 
 @dataclass(frozen=True)
@@ -202,7 +198,7 @@ def loss_and_grad(
 
     For a (C, P) stack the minibatch arrays lead with the member axis,
     the loss is a (C,) array and the gradient (C, P). A non-finite loss
-    in any member raises before any gradient is computed.
+    is returned like any other; the caller decides what it means.
     """
     if views is None:
         views = UpdateViews(theta)
@@ -227,8 +223,6 @@ def loss_and_grad(
 
     entropy = np.sum(views.log_std, axis=-1) + 0.5 * log_std.shape[-1] * (1.0 + np.log(2.0 * np.pi))
     loss = policy_loss + cfg.value_coeff * value_loss - cfg.entropy_coeff * entropy
-    if not np.all(np.isfinite(loss)):
-        raise DivergenceError(f"non-finite PPO loss ({loss})", loss)
 
     # min(.,.) subgradient: take the unclipped branch on ties, matching the
     # convention that the surrogate's gradient vanishes only when clipping
@@ -321,44 +315,28 @@ def ppo_update(
     one stacked `loss_and_grad` call and one Adam step on the matrix. The
     input stack is not mutated. Pass `optimizer`, an Adam over the (C, P)
     shape, to carry Adam moments across batches within a training run.
-    A member whose loss goes non-finite leaves the stack at that
-    minibatch, with its Adam rows, and the others go on as they would
-    alone. Returns the stack of the remaining members in order and
-    {stack row: DivergenceError} for those that left.
+    A member's first non-finite loss becomes its DivergenceError; its row
+    stays in the stack to the end of the update, where the caller drops
+    it. Returns the updated stack and {stack row: DivergenceError}.
     """
-    rngs = list(rngs)
     stack = stack.copy()
     if optimizer is None:
         optimizer = Adam(stack.data.shape, cfg.learning_rate)
     arrays = [buffer.observations, buffer.actions, buffer.log_probs, buffer.advantages, buffer.returns]
-    alive = np.arange(len(rngs))  # buffer row of each stack row
+    rows = np.arange(len(rngs))[:, None]
     errors: dict[int, DivergenceError] = {}
     views = UpdateViews(stack)
     n = len(buffer)
     mb_size = max(1, n // cfg.minibatches)
-
-    def minibatch_grad(idx: np.ndarray) -> np.ndarray:
-        return loss_and_grad(stack, *(a[alive[:, None], idx] for a in arrays), cfg, views)[1]
-
     for _ in range(cfg.epochs):
         order = np.stack([g.permutation(n) for g in rngs])
         for start in range(0, n, mb_size):
             idx = order[:, start : start + mb_size]
-            try:
-                grad = minibatch_grad(idx)
-            except DivergenceError as err:
-                keep = np.isfinite(err.loss)
-                for row in np.flatnonzero(~keep):
-                    errors[int(alive[row])] = DivergenceError(f"non-finite PPO loss ({err.loss[row]})")
-                alive, idx, order = alive[keep], idx[keep], order[keep]
-                rngs = [g for g, k in zip(rngs, keep) if k]
-                optimizer.keep_rows(keep)
-                stack = ParameterVector(stack.data[keep], stack.layout)
-                if not rngs:
-                    return stack, errors
-                views = UpdateViews(stack)
-                # The other members' losses were finite, and recomputing them is exact.
-                grad = minibatch_grad(idx)
+            loss, grad = loss_and_grad(stack, *(a[rows, idx] for a in arrays), cfg, views)
+            finite = np.isfinite(loss)
+            if not finite.all():
+                for row in np.flatnonzero(~finite):
+                    errors.setdefault(int(row), DivergenceError(f"non-finite PPO loss ({loss[row]})"))
             optimizer.step(stack.data, clip_grad_norm(grad, cfg.max_grad_norm))
     return stack, errors
 
@@ -490,7 +468,7 @@ def train(
     one per member, each at most `total_steps`. A member leaves the stack
     after its last whole batch, and one whose budget is below one batch
     never joins it and comes back unchanged. A member whose loss goes
-    non-finite leaves the stack at that minibatch, and its DivergenceError
+    non-finite leaves the stack after that batch, and its DivergenceError
     takes the place of its vector in the list.
     """
     if isinstance(theta, ParameterVector):
@@ -521,12 +499,16 @@ def train(
     carry = None
     for batch_index in range(max(n_batches)):
         buffer, carry = collect_rollout(stack, env, weights, cfg, rngs, carry)
-        # ppo_update already drops the diverged members' stack and Adam rows.
         stack, errors = ppo_update(stack, buffer, cfg, rngs, optimizer)
+        # A diverged member, and one whose last batch this was, leaves here.
+        keep = np.array([row not in errors and n_batches[m] > batch_index + 1 for row, m in enumerate(members)])
         for row, member in enumerate(members):
             if row in errors:
                 results[member] = errors[row]
-            elif logs[member] is not None:
+                continue
+            if not keep[row]:
+                results[member] = ParameterVector(stack.data[row].copy(), layout)
+            if logs[member] is not None:
                 mean_ep = float(buffer.scalar_rewards[row].sum() / max(1, buffer.dones[row].sum()))
                 residual = float(np.mean((buffer.value_estimates[row] - buffer.returns[row]) ** 2))
                 logs[member].write(
@@ -534,16 +516,10 @@ def train(
                     f"scalar_return_per_episode={mean_ep:.4f} "
                     f"value_residual={residual:.4f}\n"
                 )
-        # A member whose last batch this was leaves with its row of the stack.
-        alive = [row for row in range(len(members)) if row not in errors]
-        done = np.array([n_batches[members[row]] == batch_index + 1 for row in alive], dtype=bool)
-        for stack_row in np.flatnonzero(done):
-            results[members[alive[stack_row]]] = ParameterVector(stack.data[stack_row].copy(), layout)
-        optimizer.keep_rows(~done)
-        stack = ParameterVector(stack.data[~done], layout)
-        keep = [row for row, finished in zip(alive, done) if not finished]
-        members = [members[row] for row in keep]
-        rngs = [rngs[row] for row in keep]
+        optimizer.keep_rows(keep)
+        stack = ParameterVector(stack.data[keep], layout)
+        members = [m for m, k in zip(members, keep) if k]
+        rngs = [g for g, k in zip(rngs, keep) if k]
         weights = weights[keep]
         carry = (carry[0][keep], carry[1])
         if not members:

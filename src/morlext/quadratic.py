@@ -28,9 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Singular-value ratio at or below which a direction matrix counts as rank deficient.
-RANK_RTOL = 1e-8
-
 
 @dataclass
 class QuadraticObjectiveFamily:
@@ -85,13 +82,6 @@ class QuadraticObjectiveFamily:
         for i in range(self.d):
             grad += weight[i] * (-2.0) * (self.curvatures[i] @ (theta - self.centers[i]))
         return grad
-
-
-def check_degenerate(directions: np.ndarray) -> bool:
-    """True iff the direction matrix's smallest singular value is at most
-    RANK_RTOL times its largest."""
-    svals = np.linalg.svd(directions, compute_uv=False)
-    return bool(svals.min() <= RANK_RTOL * svals.max())
 
 
 # ---------------------------------------------------------------------------
@@ -156,58 +146,48 @@ class ErrorCurve:
         return float(slope)
 
 
-def retrain_directions(
+def retrain_direction(
     fam: QuadraticObjectiveFamily,
     base_weight: np.ndarray,
     delta_s: float,
     step_size: float = 1.0,
 ) -> np.ndarray:
-    """Directions from a single exact gradient step at shifted preferences.
+    """The direction from a single exact gradient step at a shifted preference.
 
-    Column i is step_size * grad of (w + delta (e_i - e_0)) . V at the
-    base optimum: the update brief retraining would take first. The base
-    is stationary for its own weight, so these columns vanish as
-    delta_s -> 0 and span the local trade-off directions otherwise.
+    It is step_size * grad of (w + delta (e_1 - e_0)) . V at the base
+    optimum: the update brief retraining would take first. The base is
+    stationary for its own weight, so the direction vanishes as
+    delta_s -> 0 and points along the local trade-off otherwise.
     """
-    base_weight = np.asarray(base_weight, dtype=np.float64)
-    base_theta = fam.scalarized_optimum(base_weight)
-    m = fam.d - 1
-    cols = []
-    for i in range(1, m + 1):
-        shifted = base_weight.copy()
-        shifted[0] -= delta_s
-        shifted[i] += delta_s
-        cols.append(step_size * fam.scalarized_gradient(shifted, base_theta))
-    return np.stack(cols, axis=1)
+    shifted = np.asarray(base_weight, dtype=np.float64) + delta_s * np.array([-1.0, 1.0])
+    return step_size * fam.scalarized_gradient(shifted, fam.scalarized_optimum(base_weight))
 
 
 def lle_error_curve(
     fam: QuadraticObjectiveFamily,
     base_theta: np.ndarray,
-    directions: np.ndarray,
-    coefficients: np.ndarray,
+    direction: np.ndarray,
+    alphas: np.ndarray,
     front_points: int = 100_001,
     fit_window: tuple[float, float] = (0.05, 0.5),
 ) -> ErrorCurve:
     """Distance from extrapolated returns to the exact front, per step size.
 
-    theta(alpha) = base + D alpha for each row alpha of `coefficients`
-    (a 1-D array holds one coefficient per row); distance is measured in
-    return space against the dense analytic front polyline.
+    theta(alpha) = base + alpha * direction for each entry of `alphas`;
+    distance is measured in return space against the dense analytic front
+    polyline, and |alpha| is the step size.
     """
     base_theta = np.asarray(base_theta, dtype=np.float64)
-    directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-    if directions.shape[0] != fam.n:
-        raise ValueError("direction matrix must have one row per parameter dimension")
-    if check_degenerate(directions):
-        raise ValueError("direction matrix is numerically rank deficient")
-    coefficients = np.asarray(coefficients, dtype=np.float64)
-    if coefficients.ndim == 1:
-        coefficients = coefficients[:, None]
+    direction = np.asarray(direction, dtype=np.float64)
+    if direction.shape != (fam.n,):
+        raise ValueError("direction must have one entry per parameter dimension")
+    if not np.any(direction):
+        raise ValueError("direction is zero")
+    alphas = np.asarray(alphas, dtype=np.float64)
     _, front = pareto_path(fam, front_points)
-    thetas = base_theta[None, :] + coefficients @ directions.T
+    thetas = base_theta[None, :] + alphas[:, None] * direction[None, :]
     dists = polyline_distance(fam.values(thetas), front)
-    norms = np.linalg.norm(coefficients, axis=1)
+    norms = np.abs(alphas)
     order = np.argsort(norms)
     return ErrorCurve(
         alpha_norms=norms[order], distances=dists[order], fit_window=fit_window
@@ -250,5 +230,5 @@ def preset_error_curve(name: str, coefficients: np.ndarray | None = None) -> Err
     if coefficients is None:
         coefficients = np.geomspace(0.01, 1.0, 41)
     base = fam.scalarized_optimum(PRESET_BASE_WEIGHT)
-    directions = retrain_directions(fam, PRESET_BASE_WEIGHT, PRESET_DELTA_S)
-    return lle_error_curve(fam, base, directions, coefficients)
+    direction = retrain_direction(fam, PRESET_BASE_WEIGHT, PRESET_DELTA_S)
+    return lle_error_curve(fam, base, direction, coefficients)

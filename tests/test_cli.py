@@ -159,6 +159,40 @@ def test_distance_subcommand(run_dir, capsys):
     assert "combined (log stds excluded): 0" in out
 
 
+@pytest.mark.parametrize("command", ["metrics", "distance"])
+def test_directory_input_is_usage_error(tmp_path, capsys, command):
+    argv = [command, str(tmp_path)] + ([str(tmp_path)] if command == "distance" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Is a directory" in captured.err and captured.out == ""
+
+
+def test_main_dispatches_by_name_through_one_parser(run_dir, monkeypatch, capsys):
+    from morlext import cli
+
+    called = []
+    real = cli.cmd_metrics
+
+    def wrapped(args):
+        called.append(args.command)
+        return real(args)
+
+    monkeypatch.setattr(cli, "cmd_metrics", wrapped)
+    parser = cli.build_parser()
+    bases = str(run_dir / "policies" / "bases.jsonl")
+    assert main(["metrics", str(run_dir / "front.csv")]) == 0
+    with pytest.raises(SystemExit) as usage:
+        main(["metrics", "--eu-seed=x", str(run_dir / "front.csv")])
+    assert usage.value.code != 0
+    assert main(["distance", bases, bases, "--entry-b", "1"]) == 0
+    assert main(["metrics", str(run_dir / "front.csv"), "--eu-seed=3"]) == 0
+    assert called == ["metrics", "metrics"]
+    assert cli.build_parser() is parser
+    out = capsys.readouterr().out
+    assert "combined" in out and out.count('"hv"') == 2 and '"eu_seed": 3' in out
+
+
 def test_distance_bad_entry_is_usage_error(run_dir, capsys):
     bases = run_dir / "policies" / "bases.jsonl"
     n = len(bases.read_text().splitlines())
@@ -385,6 +419,7 @@ def test_metrics_ref_point_wrong_length_is_usage_error(run_dir, capsys):
         ("--ref-point=abc,1", "--ref-point must be comma-separated numbers, got 'abc,1'"),
         ("--eu-samples=0", "--eu-samples must be at least 1, got 0"),
         ("--eu-samples=-5", "--eu-samples must be at least 1, got -5"),
+        ("--eu-seed=-1", "--eu-seed must be at least 0, got -1"),
     ],
 )
 def test_metrics_flag_errors_name_their_flag(run_dir, capsys, flag, message):

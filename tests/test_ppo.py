@@ -213,8 +213,29 @@ def test_non_finite_loss_reports_divergence():
     buf = make_buffer(env, theta, cfg)
     buf.returns[:] = np.inf  # poisons the value loss
     out, errors = ppo_update(stack_of_one(theta), buf, cfg, [np.random.default_rng(0)])
+    assert set(errors) == {0}
     assert isinstance(errors[0], DivergenceError)
-    assert out.data.shape == (0, theta.layout.size)
+    # The first non-finite loss is recorded, not a later one of the NaN row.
+    assert str(errors[0]) == "non-finite PPO loss (inf)"
+    # The row stays in the stack; `train` drops it after the batch.
+    assert out.data.shape == (1, theta.layout.size)
+
+
+def test_loss_and_grad_returns_non_finite_stacked_loss():
+    from morlext.policy import ParameterVector
+
+    env = DualGoal()
+    cfg = PpoConfig()
+    thetas = [init_actor_critic(env, seed=s, hidden=(16, 16)) for s in (12, 13)]
+    stack = ParameterVector(np.stack([t.data for t in thetas]), thetas[0].layout)
+    batches = [frozen_minibatch(env, t, seed=k) for k, t in enumerate(thetas)]
+    obs, actions, logp_old, advantages, returns = (np.stack(parts) for parts in zip(*batches))
+    returns[1] = np.inf
+    loss, grad = loss_and_grad(stack, obs, actions, logp_old, advantages, returns, cfg)
+    assert loss.shape == (2,) and np.isposinf(loss[1])
+    alone_loss, alone_grad = loss_and_grad(thetas[0], *batches[0], cfg)
+    assert loss[0] == alone_loss
+    assert np.array_equal(grad[0], alone_grad)
 
 
 # ---------------------------------------------------------------------------

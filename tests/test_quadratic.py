@@ -9,7 +9,7 @@ from morlext.quadratic import (
     polyline_distance,
     preset_error_curve,
     preset_family,
-    retrain_directions,
+    retrain_direction,
     PRESET_BASE_WEIGHT,
     PRESET_DELTA_S,
 )
@@ -114,8 +114,8 @@ def test_error_curve_distances_deterministic():
 def test_error_curve_rejects_rank_deficient_directions():
     fam = preset_family("curved")
     base = fam.scalarized_optimum(PRESET_BASE_WEIGHT)
-    with pytest.raises(ValueError):
-        lle_error_curve(fam, base, np.zeros((2, 1)), np.array([0.1, 0.2]))
+    with pytest.raises(ValueError, match="direction is zero"):
+        lle_error_curve(fam, base, np.zeros(2), np.array([0.1, 0.2]))
 
 
 def test_error_curve_requires_increasing_norms():
@@ -125,8 +125,9 @@ def test_error_curve_requires_increasing_norms():
 
 def test_retrain_directions_vanish_with_shift():
     fam = preset_family("curved")
-    small = retrain_directions(fam, PRESET_BASE_WEIGHT, 1e-6)
-    large = retrain_directions(fam, PRESET_BASE_WEIGHT, PRESET_DELTA_S)
+    small = retrain_direction(fam, PRESET_BASE_WEIGHT, 1e-6)
+    large = retrain_direction(fam, PRESET_BASE_WEIGHT, PRESET_DELTA_S)
+    assert small.shape == large.shape == (fam.n,)
     assert np.linalg.norm(small) < 1e-4
     assert np.linalg.norm(large) > 0.1
 
