@@ -22,16 +22,7 @@ from .pareto import (
     non_dominated_filter,
     sparsity,
 )
-from .policy import (
-    ActorCritic,
-    GaussianPolicy,
-    MlpSpec,
-    ParameterVector,
-    ReturnVector,
-    evaluate_returns,
-    flatten,
-    unflatten,
-)
+from .policy import MlpSpec, ParameterVector, ReturnVector, evaluate_returns, unflatten
 from .ppo import PpoConfig, RolloutBuffer, compute_gae, ppo_update, train
 from .distance import Matching, hungarian_distance, hungarian_solve
 from .quadratic import ErrorCurve, QuadraticObjectiveFamily, lle_error_curve
@@ -39,14 +30,12 @@ from .quadratic import ErrorCurve, QuadraticObjectiveFamily, lle_error_curve
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActorCritic",
     "CandidatePolicy",
     "DirectionSet",
     "DualGoal",
     "EnvSpec",
     "ErrorCurve",
     "FrontPoint",
-    "GaussianPolicy",
     "LleConfig",
     "Matching",
     "MlpSpec",
@@ -62,7 +51,6 @@ __all__ = [
     "dominates",
     "evaluate_returns",
     "expected_utility",
-    "flatten",
     "hungarian_distance",
     "hungarian_solve",
     "hypervolume",

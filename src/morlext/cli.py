@@ -25,7 +25,7 @@ import sys
 import time
 from dataclasses import Field, fields
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .pareto import (
     sparsity,
 )
 from .ppo import DivergenceError, PpoConfig
-from .quadratic import preset_error_curve
+from .quadratic import FIT_WINDOW, preset_error_curve
 from .seeding import derive_seed
 from .svgplot import render_front_svg
 
@@ -356,8 +356,6 @@ def cmd_distance(args) -> int:
 
 
 def cmd_synth_check(args) -> int:
-    if args.preset not in ("flat", "curved"):
-        raise ConfigError(f"unknown preset {args.preset!r}; choose flat or curved")
     curve = preset_error_curve(args.preset)
     if args.output is not None:
         out = Path(args.output)
@@ -369,7 +367,7 @@ def cmd_synth_check(args) -> int:
                 writer.writerow([repr(float(a)), repr(float(dist))])
         print(f"curve table -> {out}")
     print(f"preset={args.preset} max_distance={curve.distances.max():.3e} "
-          f"fitted_slope={curve.fitted_slope:.4f} window={curve.fit_window}")
+          f"fitted_slope={curve.fitted_slope:.4f} window={FIT_WINDOW}")
     if args.preset == "flat":
         if curve.distances.max() > FLAT_MAX_DIST:
             print(f"FAIL: flat preset distance exceeds {FLAT_MAX_DIST}", file=sys.stderr)
@@ -407,10 +405,18 @@ def cmd_front_export(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ConfigError, so that they exit 1
+    like every other usage error; its subparsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="morlext",
         description="Scalarized PPO training with training-free Pareto front extension",
     )
@@ -433,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--entry-b", type=int, default=0)
 
     p_synth = sub.add_parser("synth-check", help="closed-form extrapolation error harness")
-    p_synth.add_argument("preset", help="flat or curved")
+    p_synth.add_argument("preset", choices=("flat", "curved"))
     p_synth.add_argument("--output", default=None, help="write the curve table here")
 
     p_export = sub.add_parser("front-export", help="front table from an archived policy set")
@@ -443,11 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    # Looked up at call time, so a replaced module attribute is the one called.
-    command = globals()[f"cmd_{args.command.replace('-', '_')}"]
     try:
-        return command(args)
+        args = build_parser().parse_args(argv)
+        # Looked up at call time, so a replaced module attribute is the one called.
+        return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

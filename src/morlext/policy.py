@@ -1,10 +1,12 @@
-"""Gaussian MLP policies, value networks, and flat parameter vectors.
+"""Flat parameter vectors and the networks that are views of them.
 
-All trainable state lives in plain numpy arrays. A policy (and optionally
-its critic) flattens losslessly into a single float64 vector with a
-recorded layout, which is the representation every other module operates
-on: training updates it, directional differences subtract it, and the
-extension stage takes linear combinations of it.
+All trainable state of an actor-critic lives in one float64 vector with a
+recorded layout, which is the representation every module operates on:
+training updates it, directional differences subtract it, and the
+extension stage takes linear combinations of it. `unflatten` is the one
+way to turn a vector, or a (C, P) stack of vectors, into networks: the
+tanh MLP mean and state-independent log stds of a Gaussian actor, and a
+tanh MLP critic, all views into the vector's data.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,26 +54,6 @@ class Mlp:
         self.weights = weights
         self.biases = biases
 
-    @classmethod
-    def init(cls, spec: MlpSpec, rng: np.random.Generator, out_scale: float = 1.0) -> "Mlp":
-        weights, biases = [], []
-        sizes = spec.layer_sizes
-        for i in range(spec.n_layers):
-            fan_in = sizes[i]
-            scale = 1.0 / np.sqrt(fan_in)
-            if i == spec.n_layers - 1:
-                scale *= out_scale
-            weights.append(rng.normal(0.0, scale, size=(sizes[i], sizes[i + 1])))
-            biases.append(np.zeros(sizes[i + 1]))
-        return cls(spec, weights, biases)
-
-    @classmethod
-    def from_vector(cls, theta: "ParameterVector", prefix: str, spec: MlpSpec) -> "Mlp":
-        """An Mlp whose weights and biases are views into theta's `prefix` blocks."""
-        weights = [theta.block(f"{prefix}.W{i}") for i in range(spec.n_layers)]
-        biases = [theta.block(f"{prefix}.b{i}") for i in range(spec.n_layers)]
-        return cls(spec, weights, biases)
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = x
         for i in range(self.spec.n_layers - 1):
@@ -98,7 +80,7 @@ class Mlp:
 
         They are written into `grad_w[i]` and `grad_b[i]`, arrays shaped
         like the weights and biases (typically views into a gradient
-        vector, see `from_vector`).
+        vector, see `unflatten`).
         """
         delta = grad_out
         for i in range(self.spec.n_layers - 1, -1, -1):
@@ -109,61 +91,13 @@ class Mlp:
                 delta = (delta @ np.swapaxes(self.weights[i], -1, -2)) * (1.0 - acts[i] ** 2)
 
 
-@dataclass
-class GaussianPolicy:
-    """Diagonal-Gaussian actor: an MLP mean plus state-independent log stds."""
-
-    mean_net: Mlp
-    log_std: np.ndarray
-
-    @classmethod
-    def init(cls, spec: MlpSpec, rng: np.random.Generator, log_std_init: float = 0.0) -> "GaussianPolicy":
-        # Small final-layer scale keeps untrained mean actions near zero.
-        net = Mlp.init(spec, rng, out_scale=0.01)
-        return cls(mean_net=net, log_std=np.full(spec.layer_sizes[-1], log_std_init))
-
-    @classmethod
-    def from_vector(cls, theta: "ParameterVector") -> "GaussianPolicy":
-        """A policy whose mean network and log stds are views into theta."""
-        mean_net = Mlp.from_vector(theta, "actor", theta.layout.specs[0])
-        return cls(mean_net=mean_net, log_std=theta.block("actor.log_std"))
-
-
-@dataclass
-class ActorCritic:
-    """Actor plus value network, flattened together for joint extrapolation."""
-
-    policy: GaussianPolicy
-    value_net: Mlp
-
-    @classmethod
-    def init(
-        cls,
-        actor_spec: MlpSpec,
-        critic_spec: MlpSpec,
-        rng: np.random.Generator,
-        log_std_init: float = 0.0,
-    ) -> "ActorCritic":
-        policy = GaussianPolicy.init(actor_spec, rng, log_std_init)
-        value_net = Mlp.init(critic_spec, rng)
-        return cls(policy=policy, value_net=value_net)
-
-
-def default_specs(obs_dim: int, act_dim: int, hidden: tuple[int, ...] = (64, 64)) -> tuple[MlpSpec, MlpSpec]:
-    """Standard actor/critic shapes for an environment."""
-    return (
-        MlpSpec((obs_dim, *hidden, act_dim)),
-        MlpSpec((obs_dim, *hidden, 1)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Flat parameter vectors
 
 
 @dataclass(frozen=True)
 class ParamLayout:
-    """Ordered (key, shape) blocks defining one flattening of a network.
+    """Ordered (key, shape) blocks defining the flat form of an actor-critic.
 
     Sizes, offsets and specs are computed once per layout object: block
     lookups sit on the training hot path.
@@ -189,9 +123,8 @@ class ParamLayout:
         return self._offsets
 
     @cached_property
-    def specs(self) -> tuple[MlpSpec, MlpSpec | None]:
-        """(actor_spec, critic_spec) of the networks; critic_spec is None
-        for an actor-only layout."""
+    def specs(self) -> tuple[MlpSpec, MlpSpec]:
+        """(actor_spec, critic_spec) of the networks."""
         sizes: dict[str, list[int]] = {"actor": [], "critic": []}
         for key, shape in self.entries:
             net, _, block = key.partition(".")
@@ -199,8 +132,7 @@ class ParamLayout:
                 if not sizes[net]:
                     sizes[net].append(shape[0])
                 sizes[net].append(shape[1])
-        critic = sizes["critic"]
-        return MlpSpec(tuple(sizes["actor"])), MlpSpec(tuple(critic)) if critic else None
+        return MlpSpec(tuple(sizes["actor"])), MlpSpec(tuple(sizes["critic"]))
 
 
 @dataclass
@@ -209,7 +141,7 @@ class ParameterVector:
 
     `data` may also be a (C, P) matrix holding C vectors of one layout as
     its rows; `block` then returns stacked (C, *shape) views, and the
-    networks built from them (`unflatten(copy=False)`) are stacks.
+    networks `unflatten` builds from them are stacks.
     """
 
     data: np.ndarray
@@ -240,56 +172,35 @@ def _mlp_entries(prefix: str, spec: MlpSpec) -> list[tuple[str, tuple[int, ...]]
 
 
 @lru_cache(maxsize=None)
-def policy_layout(actor_spec: MlpSpec, critic_spec: MlpSpec | None = None) -> ParamLayout:
+def policy_layout(actor_spec: MlpSpec, critic_spec: MlpSpec) -> ParamLayout:
     entries = _mlp_entries("actor", actor_spec)
     entries.append(("actor.log_std", (actor_spec.layer_sizes[-1],)))
-    if critic_spec is not None:
-        entries.extend(_mlp_entries("critic", critic_spec))
+    entries.extend(_mlp_entries("critic", critic_spec))
     return ParamLayout(tuple(entries))
 
 
-def _pack(layout: ParamLayout, blocks: dict[str, np.ndarray]) -> ParameterVector:
-    data = np.empty(layout.size)
-    pos = 0
-    for key, shape in layout.entries:
-        n = math.prod(shape)
-        data[pos : pos + n] = np.asarray(blocks[key]).reshape(-1)
-        pos += n
-    return ParameterVector(data, layout)
+class Networks(NamedTuple):
+    """An actor-critic as views into a parameter vector: the actor's mean
+    network, its state-independent log stds and the critic."""
+
+    actor: Mlp
+    log_std: np.ndarray
+    critic: Mlp
 
 
-def flatten(model: GaussianPolicy | ActorCritic) -> ParameterVector:
-    """Flatten an actor (or actor-critic pair) into one ParameterVector."""
-    if isinstance(model, ActorCritic):
-        policy, critic = model.policy, model.value_net
-    else:
-        policy, critic = model, None
-    blocks: dict[str, np.ndarray] = {}
-    for i, (w, b) in enumerate(zip(policy.mean_net.weights, policy.mean_net.biases)):
-        blocks[f"actor.W{i}"] = w
-        blocks[f"actor.b{i}"] = b
-    blocks["actor.log_std"] = policy.log_std
-    layout_critic = None
-    if critic is not None:
-        for i, (w, b) in enumerate(zip(critic.weights, critic.biases)):
-            blocks[f"critic.W{i}"] = w
-            blocks[f"critic.b{i}"] = b
-        layout_critic = critic.spec
-    return _pack(policy_layout(policy.mean_net.spec, layout_critic), blocks)
+def unflatten(theta: ParameterVector) -> Networks:
+    """The networks of theta, shaped by its layout, as views into its data:
+    a write through them changes theta, and they see every in-place
+    update of it. A (C, P) stack gives stacked networks, with (C, in, out)
+    weights, (C, out) biases and (C, act_dim) log stds."""
 
+    def mlp(prefix: str, spec: MlpSpec) -> Mlp:
+        layers = range(spec.n_layers)
+        return Mlp(spec, [theta.block(f"{prefix}.W{i}") for i in layers],
+                   [theta.block(f"{prefix}.b{i}") for i in layers])
 
-def unflatten(theta: ParameterVector, copy: bool = True) -> GaussianPolicy | ActorCritic:
-    """Inverse of flatten, with the network shapes read from theta's layout.
-
-    With copy=False the networks are views into theta.
-    """
-    if copy:
-        theta = theta.copy()
-    policy = GaussianPolicy.from_vector(theta)
-    critic_spec = theta.layout.specs[1]
-    if critic_spec is None:
-        return policy
-    return ActorCritic(policy=policy, value_net=Mlp.from_vector(theta, "critic", critic_spec))
+    actor_spec, critic_spec = theta.layout.specs
+    return Networks(mlp("actor", actor_spec), theta.block("actor.log_std"), mlp("critic", critic_spec))
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +244,10 @@ def evaluate_returns(
     episode count. deterministic=True plays the policy mean.
 
     A sequence of C policies (one layout) is evaluated in the same loop:
-    their actor blocks are stacked into (C, in, out) weights, so each
-    network pass is one stacked product whose slices round like the
-    single-policy product, and all C * episodes rows step together. Every
+    their vectors are stacked into one (C, P) matrix whose actor views
+    have (C, in, out) weights, so each network pass is one stacked product
+    whose slices round like the single-policy product, and all
+    C * episodes rows step together. Every
     policy sees the same initial states and action noise as it would
     alone, so the list equals a per-policy loop element for element.
     """
@@ -344,18 +256,13 @@ def evaluate_returns(
     single = isinstance(theta, ParameterVector)
     thetas = [theta] if single else list(theta)
     n = len(thetas)
-    spec = thetas[0].layout.specs[0]
-    mean_net = Mlp(
-        spec,
-        [np.stack([t.block(f"actor.W{i}") for t in thetas]) for i in range(spec.n_layers)],
-        [np.stack([t.block(f"actor.b{i}") for t in thetas]) for i in range(spec.n_layers)],
-    )
-    std = np.exp(np.stack([t.block("actor.log_std") for t in thetas]))[:, None, :]
+    nets = unflatten(ParameterVector(np.stack([t.data for t in thetas]), thetas[0].layout))
+    std = np.exp(nets.log_std)[:, None, :]
     rng = np.random.default_rng(seed)
     obs = np.tile(env.reset_batch(episodes, rng), (n, 1))
     totals = np.zeros((n * episodes, env.spec.d))
     for _ in range(env.spec.horizon):
-        means = mean_net.forward(obs.reshape(n, episodes, -1))
+        means = nets.actor.forward(obs.reshape(n, episodes, -1))
         if deterministic:
             actions = means
         else:

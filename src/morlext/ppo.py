@@ -45,15 +45,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .envs import VectorRewardEnv, check_weight
-from .policy import (
-    ActorCritic,
-    Mlp,
-    ParameterVector,
-    default_specs,
-    flatten,
-    gaussian_log_prob,
-    unflatten,
-)
+from .policy import MlpSpec, ParameterVector, gaussian_log_prob, policy_layout, unflatten
 
 # OpenBLAS runs a matrix product on a second thread once m*n*k exceeds
 # this; the woken thread then busy-waits through the single-threaded work
@@ -160,8 +152,8 @@ def compute_gae(
 
 
 class UpdateViews:
-    """Network views into one parameter vector, plus one gradient buffer of
-    the same layout with its block views.
+    """The networks of one parameter vector, plus one gradient buffer of
+    the same layout and its networks, all built by `unflatten`.
 
     Built once per update and shared by every minibatch; the views stay
     valid while the vector is updated in place. Built from a (C, P)
@@ -169,15 +161,10 @@ class UpdateViews:
     """
 
     def __init__(self, theta: ParameterVector):
-        model = unflatten(theta, copy=False)
-        self.actor = model.policy.mean_net
-        self.log_std = model.policy.log_std
-        self.critic = model.value_net
+        self.nets = unflatten(theta)
         grad = ParameterVector(np.zeros(theta.data.shape), theta.layout)
         self.grad = grad.data
-        self.grad_actor = Mlp.from_vector(grad, "actor", self.actor.spec)
-        self.grad_log_std = grad.block("actor.log_std")
-        self.grad_critic = Mlp.from_vector(grad, "critic", self.critic.spec)
+        self.grads = unflatten(grad)
 
 
 def loss_and_grad(
@@ -202,14 +189,15 @@ def loss_and_grad(
     """
     if views is None:
         views = UpdateViews(theta)
-    actor, critic = views.actor, views.critic
-    log_std = views.log_std[..., None, :]
+    actor, log_std_row, critic = views.nets
+    grads = views.grads
+    log_std = log_std_row[..., None, :]
     n = obs.shape[-2]
 
     means, actor_acts = actor.forward_cached(obs)
     std = np.exp(log_std)
     inv_var = 1.0 / std**2
-    log_probs = gaussian_log_prob(actions, means, views.log_std)
+    log_probs = gaussian_log_prob(actions, means, log_std_row)
     ratios = np.exp(log_probs - log_probs_old)
     clipped = np.clip(ratios, 1.0 - cfg.clip, 1.0 + cfg.clip)
     unclipped_term = ratios * advantages
@@ -221,7 +209,7 @@ def loss_and_grad(
     value_err = values - returns
     value_loss = np.mean(value_err**2, axis=-1)
 
-    entropy = np.sum(views.log_std, axis=-1) + 0.5 * log_std.shape[-1] * (1.0 + np.log(2.0 * np.pi))
+    entropy = np.sum(log_std_row, axis=-1) + 0.5 * log_std.shape[-1] * (1.0 + np.log(2.0 * np.pi))
     loss = policy_loss + cfg.value_coeff * value_loss - cfg.entropy_coeff * entropy
 
     # min(.,.) subgradient: take the unclipped branch on ties, matching the
@@ -233,14 +221,12 @@ def loss_and_grad(
 
     diff = actions - means
     grad_means = grad_logp[..., None] * diff * inv_var
-    np.sum(grad_logp[..., None] * (diff**2 * inv_var - 1.0), axis=-2, out=views.grad_log_std)
-    views.grad_log_std -= cfg.entropy_coeff  # dH/dlog_std = 1 per dimension
-    actor.backward(grad_means, actor_acts, views.grad_actor.weights, views.grad_actor.biases)
+    grad_log_std = np.sum(grad_logp[..., None] * (diff**2 * inv_var - 1.0), axis=-2, out=grads.log_std)
+    grad_log_std -= cfg.entropy_coeff  # dH/dlog_std = 1 per dimension
+    actor.backward(grad_means, actor_acts, grads.actor.weights, grads.actor.biases)
 
     grad_values = (2.0 * cfg.value_coeff / n) * value_err
-    critic.backward(
-        grad_values[..., None], critic_acts, views.grad_critic.weights, views.grad_critic.biases
-    )
+    critic.backward(grad_values[..., None], critic_acts, grads.critic.weights, grads.critic.biases)
     return (float(loss) if loss.ndim == 0 else loss), views.grad
 
 
@@ -371,9 +357,7 @@ def collect_rollout(
     step index, since they start together and the horizon is fixed.
     """
     c = len(rngs)
-    model = unflatten(stack, copy=False)
-    actor = model.policy.mean_net
-    log_std = model.policy.log_std
+    actor, log_std, critic = unflatten(stack)
     std = np.exp(log_std)
     weights = np.reshape(weights, (c, env.spec.d, 1))
     horizon = env.spec.horizon
@@ -414,7 +398,6 @@ def collect_rollout(
             obs = next_obs
 
     logp_buf = gaussian_log_prob(act_buf, mean_buf, log_std)
-    critic = model.value_net
     values = np.empty((c, n))
     for start in range(0, n, VALUE_PASS_ROWS):
         rows = slice(start, start + VALUE_PASS_ROWS)
@@ -485,8 +468,6 @@ def train(
         raise ValueError("a member's step budget exceeds total_steps")
     weights = np.stack([check_weight(w, env.spec.d) for w in weights])
     layout = thetas[0].layout
-    if layout.specs[1] is None:
-        raise ValueError("parameter vector has no critic block; train needs an actor-critic layout")
     n_batches = [steps_taken(steps, cfg) // cfg.steps_per_batch for steps in budgets]
     results: list[ParameterVector | DivergenceError] = [t.copy() for t in thetas]
     members = [m for m, n in enumerate(n_batches) if n > 0]  # member of each stack row
@@ -528,7 +509,21 @@ def train(
 
 
 def init_actor_critic(env: VectorRewardEnv, seed: int, hidden: tuple[int, ...] = (64, 64)) -> ParameterVector:
-    """Fresh flat actor-critic parameters for an environment."""
-    actor_spec, critic_spec = default_specs(env.spec.obs_dim, env.spec.act_dim, hidden)
+    """Fresh flat actor-critic parameters for an environment.
+
+    Weights are drawn N(0, 1/fan_in), layer by layer, the actor's before
+    the critic's; the actor's output layer is scaled by a further 0.01 so
+    untrained mean actions sit near zero. Biases and log stds are zero.
+    """
+    sizes = (env.spec.obs_dim, *hidden)
+    layout = policy_layout(MlpSpec((*sizes, env.spec.act_dim)), MlpSpec((*sizes, 1)))
+    theta = ParameterVector(np.zeros(layout.size), layout)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return flatten(ActorCritic.init(actor_spec, critic_spec, rng))
+    nets = unflatten(theta)
+    for net, out_scale in ((nets.actor, 0.01), (nets.critic, 1.0)):
+        for i, w in enumerate(net.weights):
+            scale = 1.0 / np.sqrt(w.shape[0])
+            if i == len(net.weights) - 1:
+                scale *= out_scale
+            w[...] = rng.normal(0.0, scale, size=w.shape)
+    return theta

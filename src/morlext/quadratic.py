@@ -117,13 +117,16 @@ def polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.ndarray:
     return out
 
 
+# Step-coefficient range over which an error curve's log-log slope is fitted.
+FIT_WINDOW = (0.05, 0.5)
+
+
 @dataclass
 class ErrorCurve:
     """Extrapolation error against the exact front, by step-coefficient size."""
 
     alpha_norms: np.ndarray
     distances: np.ndarray
-    fit_window: tuple[float, float] = (0.05, 0.5)
     fitted_slope: float = field(init=False, default=float("nan"))
 
     def __post_init__(self) -> None:
@@ -136,7 +139,7 @@ class ErrorCurve:
         self.fitted_slope = self._fit_slope()
 
     def _fit_slope(self) -> float:
-        lo, hi = self.fit_window
+        lo, hi = FIT_WINDOW
         mask = (self.alpha_norms >= lo) & (self.alpha_norms <= hi) & (self.distances > 0)
         if mask.sum() < 2:
             return float("nan")
@@ -150,17 +153,16 @@ def retrain_direction(
     fam: QuadraticObjectiveFamily,
     base_weight: np.ndarray,
     delta_s: float,
-    step_size: float = 1.0,
 ) -> np.ndarray:
     """The direction from a single exact gradient step at a shifted preference.
 
-    It is step_size * grad of (w + delta (e_1 - e_0)) . V at the base
+    It is the grad of (w + delta (e_1 - e_0)) . V at the base
     optimum: the update brief retraining would take first. The base is
     stationary for its own weight, so the direction vanishes as
     delta_s -> 0 and points along the local trade-off otherwise.
     """
     shifted = np.asarray(base_weight, dtype=np.float64) + delta_s * np.array([-1.0, 1.0])
-    return step_size * fam.scalarized_gradient(shifted, fam.scalarized_optimum(base_weight))
+    return fam.scalarized_gradient(shifted, fam.scalarized_optimum(base_weight))
 
 
 def lle_error_curve(
@@ -168,8 +170,6 @@ def lle_error_curve(
     base_theta: np.ndarray,
     direction: np.ndarray,
     alphas: np.ndarray,
-    front_points: int = 100_001,
-    fit_window: tuple[float, float] = (0.05, 0.5),
 ) -> ErrorCurve:
     """Distance from extrapolated returns to the exact front, per step size.
 
@@ -184,14 +184,12 @@ def lle_error_curve(
     if not np.any(direction):
         raise ValueError("direction is zero")
     alphas = np.asarray(alphas, dtype=np.float64)
-    _, front = pareto_path(fam, front_points)
+    _, front = pareto_path(fam)
     thetas = base_theta[None, :] + alphas[:, None] * direction[None, :]
     dists = polyline_distance(fam.values(thetas), front)
     norms = np.abs(alphas)
     order = np.argsort(norms)
-    return ErrorCurve(
-        alpha_norms=norms[order], distances=dists[order], fit_window=fit_window
-    )
+    return ErrorCurve(alpha_norms=norms[order], distances=dists[order])
 
 
 # ---------------------------------------------------------------------------

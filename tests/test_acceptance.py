@@ -14,7 +14,7 @@ from morlext.distance import hungarian_distance, incoming_matrices
 from morlext.envs import DualGoal, SpeedEnergy
 from morlext.extension import LleConfig, run_pipeline
 from morlext.pareto import expected_utility, hypervolume, sparsity
-from morlext.policy import ActorCritic, default_specs, evaluate_returns, flatten
+from morlext.policy import evaluate_returns
 from morlext.ppo import PpoConfig, init_actor_critic, loss_and_grad, train
 from morlext.quadratic import preset_error_curve
 from morlext.seeding import derive_seed
@@ -82,8 +82,7 @@ def brute_force_layer_cost(a, b):
 
 
 def make_theta(seed, hidden=(7, 6)):
-    actor_spec, critic_spec = default_specs(4, 2, hidden=hidden)
-    return flatten(ActorCritic.init(actor_spec, critic_spec, np.random.default_rng(seed)))
+    return init_actor_critic(DualGoal(), seed, hidden)
 
 
 def test_hungarian_distance_exactness():
@@ -147,7 +146,7 @@ def test_ppo_gradient_check():
 
     model = unflatten(theta)
     logp_old = gaussian_log_prob(
-        actions, model.policy.mean_net.forward(obs), model.policy.log_std
+        actions, model.actor.forward(obs), model.log_std
     ) + rng.normal(scale=0.3, size=n)
     advantages = rng.normal(size=n)
     returns = rng.normal(size=n)

@@ -7,15 +7,14 @@ import pytest
 
 from morlext import archive
 from morlext.archive import FORMAT_TAG, ArchiveRecord, _encode, load_archive, save_archive
-from morlext.policy import ActorCritic, default_specs, flatten
+from morlext.envs import DualGoal, SpeedEnergy
+from morlext.ppo import init_actor_critic
 
 
 def test_roundtrip_bit_exact(tmp_path):
-    actor_spec, critic_spec = default_specs(4, 2, hidden=(8, 8))
-    rng = np.random.default_rng(0)
     records = []
     for i in range(3):
-        theta = flatten(ActorCritic.init(actor_spec, critic_spec, rng))
+        theta = init_actor_critic(DualGoal(), i, hidden=(8, 8))
         # include awkward values that must survive the trip bit-for-bit
         theta.data[0] = np.nextafter(0.1, 1.0)
         theta.data[1] = -0.0
@@ -41,8 +40,7 @@ def test_rejects_foreign_format(tmp_path):
 
 
 def test_empty_lines_ignored(tmp_path):
-    actor_spec, critic_spec = default_specs(2, 1, hidden=(4, 4))
-    theta = flatten(ActorCritic.init(actor_spec, critic_spec, np.random.default_rng(1)))
+    theta = init_actor_critic(SpeedEnergy(), 1, hidden=(4, 4))
     path = tmp_path / "one.jsonl"
     save_archive(path, [ArchiveRecord(theta=theta)])
     path.write_text(path.read_text() + "\n\n")
@@ -84,8 +82,7 @@ def as_comparable(records):
 
 
 def small_theta(seed):
-    actor_spec, critic_spec = default_specs(3, 2, hidden=(4, 4))
-    return flatten(ActorCritic.init(actor_spec, critic_spec, np.random.default_rng(seed)))
+    return init_actor_critic(DualGoal(), seed, hidden=(4, 4))
 
 
 def write_lines(path, objs):

@@ -182,15 +182,38 @@ def test_main_dispatches_by_name_through_one_parser(run_dir, monkeypatch, capsys
     parser = cli.build_parser()
     bases = str(run_dir / "policies" / "bases.jsonl")
     assert main(["metrics", str(run_dir / "front.csv")]) == 0
-    with pytest.raises(SystemExit) as usage:
-        main(["metrics", "--eu-seed=x", str(run_dir / "front.csv")])
-    assert usage.value.code != 0
+    assert main(["metrics", "--eu-seed=x", str(run_dir / "front.csv")]) == 1
     assert main(["distance", bases, bases, "--entry-b", "1"]) == 0
     assert main(["metrics", str(run_dir / "front.csv"), "--eu-seed=3"]) == 0
     assert called == ["metrics", "metrics"]
     assert cli.build_parser() is parser
     out = capsys.readouterr().out
     assert "combined" in out and out.count('"hv"') == 2 and '"eu_seed": 3' in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["run", "--config", "c.ini", "--bogus"],
+    ["metrics", "--eu-seed=x", "front.csv"],
+    ["distance", "a.jsonl"],
+    ["synth-check", "wiggly"],
+    ["front-export", "policies.jsonl"],
+    ["nope"],
+    [],
+])
+def test_argument_errors_exit_1_with_one_error_line(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["synth-check", "-h"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert done.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_distance_bad_entry_is_usage_error(run_dir, capsys):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from morlext.distance import hungarian_distance, hungarian_solve, incoming_matrices, layer_matching_cost
-from morlext.policy import ActorCritic, default_specs, flatten
+from morlext.envs import DualGoal
+from morlext.ppo import init_actor_critic
 
 
 def brute_force_assignment_cost(cost):
@@ -13,8 +14,7 @@ def brute_force_assignment_cost(cost):
 
 
 def make_theta(seed, hidden=(6, 5)):
-    actor_spec, critic_spec = default_specs(4, 2, hidden=hidden)
-    return flatten(ActorCritic.init(actor_spec, critic_spec, np.random.default_rng(seed)))
+    return init_actor_critic(DualGoal(), seed, hidden)
 
 
 def permute_layer_rows(theta, prefix, layer, perm, propagate=False):

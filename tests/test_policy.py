@@ -2,81 +2,59 @@ import numpy as np
 import pytest
 
 from morlext.envs import DualGoal, SpeedEnergy
-from morlext.policy import (
-    ActorCritic,
-    GaussianPolicy,
-    MlpSpec,
-    ParameterVector,
-    default_specs,
-    evaluate_returns,
-    flatten,
-    gaussian_log_prob,
-    unflatten,
-)
+from morlext.policy import ParameterVector, evaluate_returns, gaussian_log_prob, unflatten
+from morlext.ppo import init_actor_critic
 
 
-def random_policy(spec, seed=0, log_std_init=0.0):
-    return GaussianPolicy.init(spec, np.random.default_rng(seed), log_std_init)
-
-
-def test_flatten_size_small_net():
-    # [2, 4, 1]: (2*4+4) + (4*1+1) + 1 log_std = 18
-    spec = MlpSpec((2, 4, 1))
-    theta = flatten(random_policy(spec))
-    assert theta.data.shape == (18,)
-
-
-def test_flatten_unflatten_roundtrip_bit_exact():
-    spec = MlpSpec((3, 8, 5, 2))
-    policy = random_policy(spec, seed=4)
-    theta = flatten(policy)
-    back = unflatten(theta)
-    assert isinstance(back, GaussianPolicy)
-    theta2 = flatten(back)
-    assert np.array_equal(theta.data, theta2.data)
-    obs = np.random.default_rng(1).normal(size=(6, 3))
-    assert np.array_equal(policy.mean_net.forward(obs), back.mean_net.forward(obs))
-
-
-def test_flatten_actor_critic_roundtrip():
-    actor_spec, critic_spec = default_specs(4, 2, hidden=(8, 8))
-    ac = ActorCritic.init(actor_spec, critic_spec, np.random.default_rng(2))
-    theta = flatten(ac)
-    back = unflatten(theta)
-    assert np.array_equal(flatten(back).data, theta.data)
+def test_layout_size_small_net():
+    # actor [2, 4, 1]: (2*4+4) + (4*1+1) + 1 log_std = 18; critic [2, 4, 1]: 17
+    theta = init_actor_critic(SpeedEnergy(), 0, hidden=(4,))
+    assert theta.data.shape == (35,)
 
 
 def test_single_weight_change_single_coordinate():
-    spec = MlpSpec((2, 4, 1))
-    policy = random_policy(spec, seed=7)
-    theta_a = flatten(policy)
-    policy.mean_net.weights[0][1, 2] += 0.25
-    theta_b = flatten(policy)
-    assert int(np.sum(theta_a.data != theta_b.data)) == 1
+    theta = init_actor_critic(DualGoal(), 7, hidden=(8, 8))
+    before = theta.data.copy()
+    unflatten(theta).actor.weights[0][1, 2] += 0.25
+    assert int(np.sum(theta.data != before)) == 1
+
+
+def test_stack_views_are_stacked_networks():
+    env = DualGoal()
+    thetas = [init_actor_critic(env, seed, hidden=(8, 6)) for seed in (3, 4, 5)]
+    stack = ParameterVector(np.stack([t.data for t in thetas]), thetas[0].layout)
+    nets = unflatten(stack)
+    assert [w.shape for w in nets.actor.weights] == [(3, 4, 8), (3, 8, 6), (3, 6, 2)]
+    assert [b.shape for b in nets.critic.biases] == [(3, 8), (3, 6), (3, 1)]
+    assert nets.log_std.shape == (3, 2)
+    obs = np.random.default_rng(0).normal(size=(3, 5, 4))
+    means = nets.actor.forward(obs)
+    values = nets.critic.forward(obs)
+    for k, theta in enumerate(thetas):
+        alone = unflatten(theta)
+        assert np.array_equal(means[k], alone.actor.forward(obs[k]))
+        assert np.array_equal(values[k], alone.critic.forward(obs[k]))
 
 
 def test_zero_vector_gives_zero_mean_policy():
-    spec = MlpSpec((3, 4, 2))
-    layout = flatten(random_policy(spec)).layout
+    layout = init_actor_critic(DualGoal(), 0, hidden=(4,)).layout
     zero = unflatten(ParameterVector(np.zeros(layout.size), layout))
-    obs = np.random.default_rng(0).normal(size=(5, 3))
-    assert np.allclose(zero.mean_net.forward(obs), 0.0)
+    obs = np.random.default_rng(0).normal(size=(5, 4))
+    assert np.allclose(zero.actor.forward(obs), 0.0)
 
 
 def test_log_prob_of_mean_unit_std():
     # Closed-form Gaussian density at its mean with std=1, one dim.
-    spec = MlpSpec((2, 4, 1))
-    policy = random_policy(spec, seed=0, log_std_init=0.0)
+    nets = unflatten(init_actor_critic(SpeedEnergy(), 0, hidden=(4,)))
     obs = np.array([[0.3, -0.7]])
-    mean = policy.mean_net.forward(obs)
-    logp = gaussian_log_prob(mean, mean, policy.log_std)[0]
+    mean = nets.actor.forward(obs)
+    logp = gaussian_log_prob(mean, mean, nets.log_std)[0]
     assert logp == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-12)
 
 
 def test_evaluate_zero_policy_dual_goal():
     env = DualGoal()
-    actor_spec, critic_spec = default_specs(env.spec.obs_dim, env.spec.act_dim, hidden=(8, 8))
-    layout = flatten(ActorCritic.init(actor_spec, critic_spec, np.random.default_rng(0))).layout
+    layout = init_actor_critic(env, 0, hidden=(8, 8)).layout
     zero = ParameterVector(np.zeros(layout.size), layout)
     result = evaluate_returns(zero, env, episodes=4, seed=5)
     assert np.allclose(result.values, [0.0, 0.0], atol=1e-12)
@@ -85,19 +63,17 @@ def test_evaluate_zero_policy_dual_goal():
 def test_evaluate_full_throttle_speed_energy():
     # Constant action 1 for 100 steps: energy objective totals -100.
     env = SpeedEnergy(horizon=100)
-    actor_spec, critic_spec = default_specs(env.spec.obs_dim, env.spec.act_dim, hidden=(8, 8))
-    layout = flatten(ActorCritic.init(actor_spec, critic_spec, np.random.default_rng(0))).layout
+    layout = init_actor_critic(env, 0, hidden=(8, 8)).layout
     theta = ParameterVector(np.zeros(layout.size), layout)
     theta.block("actor.b1")[...] = 5.0  # saturates nothing: output layer bias below
-    theta.block(f"actor.b{actor_spec.n_layers - 1}")[...] = 1.0
+    theta.block("actor.b2")[...] = 1.0
     result = evaluate_returns(theta, env, episodes=3, seed=2)
     assert result.values[1] == pytest.approx(-100.0)
 
 
 def test_evaluate_deterministic_is_pure():
     env = DualGoal()
-    actor_spec, critic_spec = default_specs(env.spec.obs_dim, env.spec.act_dim)
-    theta = flatten(ActorCritic.init(actor_spec, critic_spec, np.random.default_rng(9)))
+    theta = init_actor_critic(env, 9)
     a = evaluate_returns(theta, env, episodes=2, seed=31)
     b = evaluate_returns(theta, env, episodes=2, seed=31)
     assert np.array_equal(a.values, b.values)
@@ -106,8 +82,7 @@ def test_evaluate_deterministic_is_pure():
 
 def test_evaluation_noise_shrinks_with_episodes():
     env = DualGoal()
-    actor_spec, critic_spec = default_specs(env.spec.obs_dim, env.spec.act_dim, hidden=(16, 16))
-    theta = flatten(ActorCritic.init(actor_spec, critic_spec, np.random.default_rng(1)))
+    theta = init_actor_critic(env, 1, hidden=(16, 16))
     est_1 = [evaluate_returns(theta, env, 1, seed=s, deterministic=False).values for s in range(24)]
     est_64 = [evaluate_returns(theta, env, 64, seed=s, deterministic=False).values for s in range(24)]
     std_1 = np.std(np.stack(est_1), axis=0)
@@ -115,24 +90,15 @@ def test_evaluation_noise_shrinks_with_episodes():
     assert np.all(std_64 < std_1)
 
 
-def test_actor_from_vector_matches_unflatten():
-    actor_spec, critic_spec = default_specs(4, 2)
-    theta = flatten(ActorCritic.init(actor_spec, critic_spec, np.random.default_rng(3)))
-    actor = GaussianPolicy.from_vector(theta)
-    obs = np.random.default_rng(0).normal(size=(3, 4))
-    full = unflatten(theta)
-    assert np.array_equal(actor.mean_net.forward(obs), full.policy.mean_net.forward(obs))
-
-
 def per_policy_returns(theta, env, episodes, seed, deterministic=True):
     """Reference: one policy at a time, a 2-D network pass per step."""
-    policy = GaussianPolicy.from_vector(theta)
+    nets = unflatten(theta)
     rng = np.random.default_rng(seed)
     obs = env.reset_batch(episodes, rng)
     totals = np.zeros((episodes, env.spec.d))
-    std = np.exp(policy.log_std)
+    std = np.exp(nets.log_std)
     for _ in range(env.spec.horizon):
-        means = policy.mean_net.forward(obs)
+        means = nets.actor.forward(obs)
         actions = means if deterministic else means + std * rng.standard_normal(means.shape)
         obs, rewards = env.step_batch(obs, actions)
         totals += rewards
@@ -142,10 +108,9 @@ def per_policy_returns(theta, env, episodes, seed, deterministic=True):
 def perturbed_policies(env, n, seed=0):
     """n default-shape actor-critics with weights large enough to act."""
     rng = np.random.default_rng(seed)
-    actor_spec, critic_spec = default_specs(env.spec.obs_dim, env.spec.act_dim)
     thetas = []
     for _ in range(n):
-        theta = flatten(ActorCritic.init(actor_spec, critic_spec, rng))
+        theta = init_actor_critic(env, int(rng.integers(2**31)))
         theta.data += 0.3 * rng.standard_normal(theta.data.shape)
         thetas.append(theta)
     return thetas

@@ -1,8 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from morlext.envs import DualGoal, SpeedEnergy, VectorRewardEnv, EnvSpec
-from morlext.policy import default_specs, flatten, ActorCritic
 from morlext.ppo import (
     Adam,
     PpoConfig,
@@ -82,8 +83,8 @@ def frozen_minibatch(env, theta, n=32, seed=0):
     from morlext.policy import unflatten, gaussian_log_prob
 
     model = unflatten(theta)
-    means = model.policy.mean_net.forward(obs)
-    logp = gaussian_log_prob(actions, means, model.policy.log_std)
+    means = model.actor.forward(obs)
+    logp = gaussian_log_prob(actions, means, model.log_std)
     logp_old = logp + rng.normal(scale=0.3, size=n)  # spreads ratios past the clip range
     advantages = rng.normal(size=n)
     advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
@@ -133,7 +134,7 @@ def test_clipping_actually_active_in_frozen_batch():
 
     model = unflatten(theta)
     ratios = np.exp(
-        gaussian_log_prob(actions, model.policy.mean_net.forward(obs), model.policy.log_std)
+        gaussian_log_prob(actions, model.actor.forward(obs), model.log_std)
         - logp_old
     )
     assert np.any(ratios > 1.2) and np.any(ratios < 0.8)
@@ -242,6 +243,19 @@ def test_loss_and_grad_returns_non_finite_stacked_loss():
 # Training loop
 
 
+@pytest.mark.parametrize("env_cls, seed, hidden, digest", [
+    (DualGoal, 0, (64, 64), "54c3651748d4ea371319cf1579e5186034a5d3cfd655862aaf8f59d409a84322"),
+    (DualGoal, 90, (8, 8), "d4fe4647a2c8f3fa752d59d2afcbf14409c2b230f18f907c0bc3742d6200f8e6"),
+    (SpeedEnergy, 0, (64, 64), "2eb44d8b7a8e4fb6a7f9007e77f03824cb92b46ff6c3f25f5f3bf67525b8fff4"),
+    (SpeedEnergy, 90, (8, 8), "6b85f2b42702528d72251815fd6994e355c410f5b536d5098cb815af909dbf57"),
+])
+def test_init_actor_critic_bytes_are_pinned(env_cls, seed, hidden, digest):
+    """Every run starts from these vectors, so a change to the draws or
+    their order would change every run directory."""
+    theta = init_actor_critic(env_cls(), seed, hidden)
+    assert hashlib.sha256(theta.data.tobytes()).hexdigest() == digest
+
+
 def test_train_zero_steps_identity():
     env = SpeedEnergy()
     theta = init_actor_critic(env, seed=4, hidden=(8, 8))
@@ -338,8 +352,7 @@ def _reference_grad(theta, obs, actions, logp_old, advantages, returns, cfg):
     """The PPO gradient with fresh views, allocating backprop and a packed vector."""
     from morlext.policy import gaussian_log_prob, unflatten
 
-    model = unflatten(theta, copy=False)
-    actor, critic, log_std = model.policy.mean_net, model.value_net, model.policy.log_std
+    actor, log_std, critic = unflatten(theta)
     n = obs.shape[0]
     means, actor_acts = actor.forward_cached(obs)
     inv_var = 1.0 / np.exp(log_std) ** 2
@@ -383,11 +396,11 @@ def _reference_train(theta, env, weight, total_steps, cfg, seed):
     n = cfg.steps_per_batch
     for _ in range(total_steps // n):
         model = unflatten(theta)
-        log_std = model.policy.log_std
+        log_std = model.log_std
         obs_buf, act_buf = np.empty((n, env.spec.obs_dim)), np.empty((n, env.spec.act_dim))
         logp_buf, rew_buf, done_buf = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
         for i in range(n):
-            mean = model.policy.mean_net.forward(obs[None, :])[0]
+            mean = model.actor.forward(obs[None, :])[0]
             action = mean + np.exp(log_std) * rng.standard_normal(env.spec.act_dim)
             logp_buf[i] = gaussian_log_prob(action[None, :], mean[None, :], log_std)[0]
             next_obs, rewards = env.step_batch(obs[None, :], action[None, :])
@@ -399,8 +412,8 @@ def _reference_train(theta, env, weight, total_steps, cfg, seed):
                 obs, step_index = env.reset_batch(1, rng)[0], 0
             else:
                 obs = next_obs[0]
-        values = model.value_net.forward(obs_buf)[:, 0]
-        bootstrap = 0.0 if done_buf[-1] else float(model.value_net.forward(obs[None, :])[0, 0])
+        values = model.critic.forward(obs_buf)[:, 0]
+        bootstrap = 0.0 if done_buf[-1] else float(model.critic.forward(obs[None, :])[0, 0])
         adv, ret = compute_gae(rew_buf, values, done_buf, cfg.gamma, cfg.gae_lambda, bootstrap)
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
 
