@@ -22,7 +22,7 @@ from .pareto import (
     non_dominated_filter,
     sparsity,
 )
-from .policy import MlpSpec, ParameterVector, ReturnVector, evaluate_returns, unflatten
+from .policy import MlpSpec, ParameterVector, evaluate_returns, unflatten
 from .ppo import PpoConfig, RolloutBuffer, compute_gae, ppo_update, train
 from .distance import Matching, hungarian_distance, hungarian_solve
 from .quadratic import ErrorCurve, QuadraticObjectiveFamily, lle_error_curve
@@ -44,7 +44,6 @@ __all__ = [
     "PipelineResult",
     "PpoConfig",
     "QuadraticObjectiveFamily",
-    "ReturnVector",
     "RolloutBuffer",
     "SpeedEnergy",
     "compute_gae",

@@ -161,7 +161,7 @@ def _candidate_records(cands, final_values) -> Iterator[ArchiveRecord]:
             "alphas": [c.alpha],
             "matched_w": c.matched_w.tolist(),
             "raw_w": c.raw_w.tolist(),
-            "returns": c.returns.values.tolist() if c.returns is not None else None,
+            "returns": c.returns.tolist(),
         }
         if c.policy_id in final_values:
             meta["final_returns"] = final_values[c.policy_id].tolist()
@@ -220,7 +220,7 @@ def _write_run_artifacts(out_dir: Path, config: dict, result: PipelineResult, wa
                     ";".join(repr(x) for x in c.matched_w.tolist()),
                     ";".join(repr(x) for x in c.raw_w.tolist()),
                 ]
-                + [repr(float(v)) for v in c.returns.values]
+                + [repr(float(v)) for v in c.returns]
                 + [c.stage, int(c.policy_id in selected_ids)]
             )
 

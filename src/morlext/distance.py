@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import ParameterVector
+from .policy import ParameterVector, unflatten
 
 
 @dataclass
@@ -95,16 +95,10 @@ def hungarian_solve(cost: np.ndarray) -> Matching:
 
 
 def incoming_matrices(theta: ParameterVector, prefix: str) -> list[np.ndarray]:
-    """Per-layer neuron descriptors: rows are incoming weights plus bias."""
-    layers = []
-    i = 0
-    offsets = theta.layout.offsets()
-    while f"{prefix}.W{i}" in offsets:
-        w = theta.block(f"{prefix}.W{i}")  # (in, out)
-        b = theta.block(f"{prefix}.b{i}")  # (out,)
-        layers.append(np.concatenate([w.T, b[:, None]], axis=1))
-        i += 1
-    return layers
+    """Per-layer neuron descriptors of the "actor" or "critic" network:
+    rows are incoming weights plus bias."""
+    net = getattr(unflatten(theta), prefix)
+    return [np.concatenate([w.T, b[:, None]], axis=1) for w, b in zip(net.weights, net.biases)]
 
 
 def layer_matching_cost(a: np.ndarray, b: np.ndarray) -> float:

@@ -48,10 +48,10 @@ class EnvSpec:
             raise ValueError("dt must be positive")
 
 
-def check_weight(weights: np.ndarray, d: int | None = None) -> np.ndarray:
-    """Validate a preference weight: nonnegative entries summing to 1."""
+def check_weight(weights: np.ndarray, d: int) -> np.ndarray:
+    """Validate a d-objective preference weight: nonnegative entries summing to 1."""
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 1 or (d is not None and weights.shape != (d,)):
+    if weights.shape != (d,):
         raise ValueError(f"weight has shape {weights.shape}, expected ({d},)")
     if np.any(weights < -SIMPLEX_ATOL):
         raise ValueError(f"weight has negative entries: {weights}")
@@ -171,10 +171,10 @@ ENV_REGISTRY = {
 }
 
 
-def make_env(name: str, **kwargs) -> VectorRewardEnv:
+def make_env(name: str) -> VectorRewardEnv:
     """Build a registered environment by name."""
     try:
         cls = ENV_REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown environment {name!r}; known: {sorted(ENV_REGISTRY)}") from None
-    return cls(**kwargs)
+    return cls()

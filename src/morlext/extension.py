@@ -46,7 +46,7 @@ import numpy as np
 
 from .envs import VectorRewardEnv, check_weight
 from .pareto import FrontPoint, ParetoArchive, default_reference_point, dominates, non_dominated_filter
-from .policy import ParameterVector, ReturnVector, evaluate_returns
+from .policy import ParameterVector, evaluate_returns
 from .ppo import DivergenceError, PpoConfig, init_actor_critic, steps_taken, train
 from .seeding import derive_seed
 
@@ -148,8 +148,8 @@ class DirectionSet:
     delta: ParameterVector
     weight_delta: np.ndarray
     retrained_theta: ParameterVector
-    base_returns: ReturnVector | None = None
-    retrained_returns: ReturnVector | None = None
+    base_returns: np.ndarray | None = None
+    retrained_returns: np.ndarray | None = None
     mutual_non_dominated: bool = False
     degenerate: bool = False
 
@@ -178,7 +178,7 @@ class CandidatePolicy:
     alpha: float
     stage: str  # "extended" or "fine_tuned"
     policy_id: int
-    returns: ReturnVector | None = None
+    returns: np.ndarray | None = None
     trained: ParameterVector | None = None
     direction: DirectionSet | None = None
 
@@ -234,15 +234,30 @@ class BudgetLedger:
 
 def _evaluate(
     thetas: Iterable[ParameterVector], env: VectorRewardEnv, episodes: int, seed: int, ledger: BudgetLedger
-) -> list[ReturnVector]:
-    """Returns of each policy, in input order, from lockstep rollouts of
-    EVAL_CHUNK policies at a time; every policy is charged to the ledger.
-    `thetas` is drawn one chunk at a time, so vectors formed on demand
-    are alive one chunk at a time."""
-    returns = []
+) -> np.ndarray:
+    """The (n, d) returns matrix of the n policies, row i for the i-th,
+    from one `evaluate_returns` call per EVAL_CHUNK policies; every policy
+    is charged to the ledger, and no policies give a (0, d) matrix.
+    Each theta is drawn from `thetas` only as its chunk fills and is
+    copied straight into the one stack the chunks share, so a vector
+    formed on demand is dropped as soon as it is copied. The stack grows
+    in place, doubling up to EVAL_CHUNK rows, so a small evaluation
+    allocates at most twice the rows it fills: freeing a whole chunk
+    would raise glibc's mmap threshold, and with it the peak memory of
+    the training that follows."""
+    chunks = [np.empty((0, env.spec.d))]
     pending = iter(thetas)
-    while chunk := list(itertools.islice(pending, EVAL_CHUNK)):
-        returns.extend(evaluate_returns(chunk, env, episodes, seed))
+    stack = np.empty((0, 0))
+    while True:
+        n = 0
+        for n, theta in enumerate(itertools.islice(pending, EVAL_CHUNK), 1):
+            if n > len(stack):
+                stack.resize((min(2 * n, EVAL_CHUNK), theta.layout.size))
+            stack[n - 1] = theta.data
+        if not n:
+            break
+        chunks.append(evaluate_returns(ParameterVector(stack[:n], theta.layout), env, episodes, seed))
+    returns = np.concatenate(chunks)
     ledger.eval_steps += len(returns) * episodes * env.spec.horizon
     return returns
 
@@ -343,9 +358,8 @@ def directional_retrain(
         [theta for dirs in directions for theta in (dirs.base_theta, dirs.retrained_theta)],
         env, cfg.final_eval_episodes, derive_seed(cfg.seed, "eval.final"), ledger,
     )
-    for dirs, base_returns, moved_returns in zip(directions, returns[::2], returns[1::2]):
-        dirs.base_returns, dirs.retrained_returns = base_returns, moved_returns
-        base, moved = base_returns.values, moved_returns.values
+    for dirs, base, moved in zip(directions, returns[::2], returns[1::2]):
+        dirs.base_returns, dirs.retrained_returns = base, moved
         dirs.mutual_non_dominated = not dominates(base, moved) and not dominates(moved, base)
         if not dirs.mutual_non_dominated:
             warnings.warn(
@@ -367,7 +381,7 @@ def extend(
     id_start: int,
     eval_seed: int,
     ledger: BudgetLedger,
-    base_returns: ReturnVector | None = None,
+    base_returns: np.ndarray | None = None,
 ) -> list[CandidatePolicy]:
     """Enumerate and evaluate the full coefficient grid for one base.
 
@@ -405,7 +419,7 @@ def select_candidates(candidates: list[CandidatePolicy]) -> list[CandidatePolicy
         if c.returns is None:
             raise ValueError(f"candidate {c.policy_id} has not been evaluated")
     archive = non_dominated_filter(
-        [FrontPoint(c.returns.values, c.policy_id, c.stage) for c in candidates]
+        [FrontPoint(c.returns, c.policy_id, c.stage) for c in candidates]
     )
     keep = {p.policy_id for p in archive.points}
     return [c for c in candidates if c.policy_id in keep]
@@ -600,7 +614,7 @@ def run_pipeline(
     final_returns.update(zip(rollouts, _evaluate(
         (c.theta for c in rollouts.values()), env, cfg.final_eval_episodes, final_seed, ledger
     )))
-    final_values = {c.policy_id: final_returns[policy_key(c)].values for c in pool}
+    final_values = {c.policy_id: final_returns[policy_key(c)] for c in pool}
 
     base_archive = non_dominated_filter(
         [FrontPoint(final_values[c.policy_id], c.policy_id, c.stage) for c in bases]
@@ -613,8 +627,8 @@ def run_pipeline(
     )
 
     all_returns = [final_values[pid] for pid in final_values]
-    all_returns.extend(c.returns.values for c in bases + candidates + fine_tuned)
-    all_returns.extend(dirs.retrained_returns.values for dirs in directions)
+    all_returns.extend(c.returns for c in bases + candidates + fine_tuned)
+    all_returns.extend(dirs.retrained_returns for dirs in directions)
     ref_point = default_reference_point(all_returns)
 
     return PipelineResult(

@@ -34,6 +34,9 @@ FILTER_BLOCK = 256
 # Preference weights per expected-utility product block (at least 2, see
 # expected_utility); it bounds the product's memory and changes no result.
 EU_BLOCK = 1024
+# Preference weights per expected-utility sum chunk; each chunk is summed
+# on its own, so it is part of the result.
+EU_CHUNK = 65_536
 
 
 @dataclass
@@ -200,11 +203,10 @@ def expected_utility(
     archive: ParetoArchive | np.ndarray,
     n_weights: int = 10_000,
     seed: int = 0,
-    chunk: int = 65_536,
 ) -> float:
     """Mean best scalarized return over uniform random preferences.
 
-    Weights are drawn `chunk` at a time; each chunk's best returns are
+    Weights are drawn EU_CHUNK at a time; each chunk's best returns are
     taken a block of weights at a time into one buffer that is summed
     once, so no temporary exceeds (EU_BLOCK + 1, front) and the result
     does not depend on the block size. A block is EU_BLOCK weights or,
@@ -221,7 +223,7 @@ def expected_utility(
     total = 0.0
     remaining = n_weights
     while remaining > 0:
-        m = min(chunk, remaining)
+        m = min(EU_CHUNK, remaining)
         weights = sample_simplex(m, d, rng)
         best = np.empty(m)
         # No block is a lone last row: a one-row product goes through

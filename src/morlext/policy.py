@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -215,48 +215,32 @@ def gaussian_log_prob(actions: np.ndarray, means: np.ndarray, log_std: np.ndarra
     return -0.5 * np.sum(z**2, axis=-1) - np.sum(log_std, axis=-1) - 0.5 * actions.shape[-1] * LOG_2PI
 
 
-@dataclass
-class ReturnVector:
-    """Per-objective mean episodic return and how many episodes it averages."""
-
-    values: np.ndarray
-    episodes_averaged: int = 1
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("return vector contains non-finite entries")
-        if self.episodes_averaged < 1:
-            raise ValueError("episodes_averaged must be >= 1")
-
-
 def evaluate_returns(
-    theta: ParameterVector | Sequence[ParameterVector],
+    stack: ParameterVector,
     env: VectorRewardEnv,
     episodes: int,
     seed: int,
     deterministic: bool = True,
-) -> ReturnVector | list[ReturnVector]:
-    """Mean undiscounted episodic return vector over a bank of rollouts.
+) -> np.ndarray:
+    """Mean undiscounted episodic return vectors of a (C, P) stack of
+    policies (one layout), as a (C, d) float64 matrix whose row k belongs
+    to stack row k.
 
     Episodes run in lockstep (the environments are fixed-horizon), so the
     whole evaluation is `horizon` batched network passes regardless of the
-    episode count. deterministic=True plays the policy mean.
-
-    A sequence of C policies (one layout) is evaluated in the same loop:
-    their vectors are stacked into one (C, P) matrix whose actor views
-    have (C, in, out) weights, so each network pass is one stacked product
-    whose slices round like the single-policy product, and all
-    C * episodes rows step together. Every
-    policy sees the same initial states and action noise as it would
-    alone, so the list equals a per-policy loop element for element.
+    episode or policy count. The stack's actor views have (C, in, out)
+    weights, so each network pass is one stacked product whose slices
+    round like the single-policy product, and all C * episodes rows step
+    together. Every policy sees the same initial states and action noise
+    as it would alone, so each row equals that policy evaluated as a
+    stack of one. deterministic=True plays the policy mean.
     """
+    if stack.data.ndim != 2:
+        raise ValueError(f"evaluate_returns takes a (C, P) stack, got shape {stack.data.shape}")
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    single = isinstance(theta, ParameterVector)
-    thetas = [theta] if single else list(theta)
-    n = len(thetas)
-    nets = unflatten(ParameterVector(np.stack([t.data for t in thetas]), thetas[0].layout))
+    n = stack.data.shape[0]
+    nets = unflatten(stack)
     std = np.exp(nets.log_std)[:, None, :]
     rng = np.random.default_rng(seed)
     obs = np.tile(env.reset_batch(episodes, rng), (n, 1))
@@ -269,8 +253,7 @@ def evaluate_returns(
             actions = means + std * rng.standard_normal(means.shape[1:])
         obs, rewards = env.step_batch(obs, actions.reshape(n * episodes, -1))
         totals += rewards
-    results = [
-        ReturnVector(values=block.mean(axis=0), episodes_averaged=episodes)
-        for block in np.split(totals, n)
-    ]
-    return results[0] if single else results
+    returns = totals.reshape(n, episodes, -1).mean(axis=1)
+    if not np.all(np.isfinite(returns)):
+        raise ValueError("return vector contains non-finite entries")
+    return returns

@@ -55,6 +55,8 @@ BLAS_ONE_THREAD_MNK = 262_144
 # a 64x64 hidden layer (2.1M) crosses the threshold, 64-row blocks stay at
 # it and give bit-identical values.
 VALUE_PASS_ROWS = BLAS_ONE_THREAD_MNK // (64 * 64)
+# Adam's moment decay rates and denominator guard.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class DivergenceError(RuntimeError):
@@ -234,14 +236,8 @@ class Adam:
     """Adam over a flat parameter vector, or row by row over a (C, P) stack
     of them (`size` is then that shape)."""
 
-    def __init__(
-        self, size: int | tuple[int, ...], lr: float, beta1: float = 0.9, beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, size: int | tuple[int, ...], lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
@@ -256,17 +252,17 @@ class Adam:
         """
         self.t += 1
         m, v, num, den = self.m, self.v, self._num, self._den
-        m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=num)
+        m *= ADAM_BETA1
+        np.multiply(grad, 1.0 - ADAM_BETA1, out=num)
         m += num
-        v *= self.beta2
+        v *= ADAM_BETA2
         np.multiply(grad, grad, out=den)
-        den *= 1.0 - self.beta2
+        den *= 1.0 - ADAM_BETA2
         v += den
-        np.divide(v, 1.0 - self.beta2**self.t, out=den)
+        np.divide(v, 1.0 - ADAM_BETA2**self.t, out=den)
         np.sqrt(den, out=den)
-        den += self.eps
-        np.divide(m, 1.0 - self.beta1**self.t, out=num)
+        den += ADAM_EPS
+        np.divide(m, 1.0 - ADAM_BETA1**self.t, out=num)
         num *= self.lr
         num /= den
         params -= num

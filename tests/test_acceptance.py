@@ -14,7 +14,7 @@ from morlext.distance import hungarian_distance, incoming_matrices
 from morlext.envs import DualGoal, SpeedEnergy
 from morlext.extension import LleConfig, run_pipeline
 from morlext.pareto import expected_utility, hypervolume, sparsity
-from morlext.policy import evaluate_returns
+from morlext.policy import ParameterVector, evaluate_returns
 from morlext.ppo import PpoConfig, init_actor_critic, loss_and_grad, train
 from morlext.quadratic import preset_error_curve
 from morlext.seeding import derive_seed
@@ -188,15 +188,18 @@ def test_single_objective_training_sanity():
     for seed in range(5):
         env = SpeedEnergy()
         theta0 = init_actor_critic(env, derive_seed(seed, "net"))
+        one = ParameterVector(theta0.data[None], theta0.layout)
         episodes = np.stack(
             [
-                evaluate_returns(theta0, env, 1, derive_seed(seed, "ep", i), deterministic=False).values
+                evaluate_returns(one, env, 1, derive_seed(seed, "ep", i), deterministic=False)[0]
                 for i in range(32)
             ]
         )
         base_mean, base_std = episodes.mean(axis=0)[0], episodes.std(axis=0)[0]
         trained = train(theta0, env, w, 50_000, cfg, seed=derive_seed(seed, "train"))
-        final = evaluate_returns(trained, env, 32, derive_seed(seed, "eval")).values[0]
+        final = evaluate_returns(
+            ParameterVector(trained.data[None], trained.layout), env, 32, derive_seed(seed, "eval")
+        )[0, 0]
         sigmas = (final - base_mean) / base_std
         wins += sigmas >= 5.0
         details.append(f"{sigmas:.1f}")

@@ -221,6 +221,25 @@ def test_extend_memory_does_not_grow_with_the_grid():
     assert large - small < EVAL_CHUNK * base.data.nbytes
 
 
+def test_evaluate_holds_one_chunk_of_formed_vectors():
+    # Full-size policies formed on demand, as grid candidates are: batching
+    # them must not keep a chunk's formed vectors beside its stack.
+    env = DualGoal()
+    base = init_actor_critic(env, seed=82)
+    noise = np.random.default_rng(83).standard_normal(base.data.shape)
+    n = 2 * EVAL_CHUNK + 1
+    formed = (ParameterVector(base.data + (0.01 * k) * noise, base.layout) for k in range(n))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        returns = _evaluate(formed, env, 1, 3, BudgetLedger())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(returns) == n
+    assert peak < 1.5 * EVAL_CHUNK * base.data.nbytes
+
+
 def test_extend_consumes_no_training_steps(small_run):
     env, cfg, ppo_cfg, dirs, ledger = small_run
     before_training = ledger.training_steps
@@ -246,14 +265,14 @@ def test_select_candidates_matches_brute_force(small_run):
     selected_ids = {c.policy_id for c in selected}
     for c in cands:
         dominated = any(
-            dominates(o.returns.values, c.returns.values) for o in cands if o.policy_id != c.policy_id
+            dominates(o.returns, c.returns) for o in cands if o.policy_id != c.policy_id
         )
         if dominated:
             assert c.policy_id not in selected_ids
         else:
             # kept, unless an identical-returns twin with a lower id was kept
             twin_kept = any(
-                s.policy_id < c.policy_id and np.array_equal(s.returns.values, c.returns.values)
+                s.policy_id < c.policy_id and np.array_equal(s.returns, c.returns)
                 for s in selected
             )
             assert (c.policy_id in selected_ids) or twin_kept
@@ -334,6 +353,11 @@ def test_train_all_makes_one_stacked_call_and_returns_job_order(monkeypatch, tmp
 # Batched evaluation
 
 
+def stack_of_one(theta):
+    """`theta` as a (1, P) stack."""
+    return ParameterVector(theta.data[None], theta.layout)
+
+
 def varied_thetas(env, n, seed=0):
     rng = np.random.default_rng(seed)
     thetas = []
@@ -348,8 +372,9 @@ def test_evaluate_many_matches_per_policy_calls_across_chunks():
     env = DualGoal()
     thetas = varied_thetas(env, 2 * EVAL_CHUNK + 2)
     got = _evaluate(thetas, env, 8, 13, BudgetLedger())
+    assert got.shape == (len(thetas), env.spec.d)
     for theta, r in zip(thetas, got):
-        assert np.array_equal(r.values, evaluate_returns(theta, env, 8, seed=13).values)
+        assert np.array_equal(r, evaluate_returns(stack_of_one(theta), env, 8, seed=13)[0])
 
 
 def test_evaluate_many_returns_input_order():
@@ -357,9 +382,16 @@ def test_evaluate_many_returns_input_order():
     a, b, c = varied_thetas(env, 3, seed=40)
     forward = _evaluate([a, b, c], env, 4, 2, BudgetLedger())
     backward = _evaluate([c, a, b], env, 4, 2, BudgetLedger())
-    for got, want in zip(backward, [forward[2], forward[0], forward[1]]):
-        assert np.array_equal(got.values, want.values)
-    assert not np.array_equal(forward[0].values, forward[1].values)
+    assert np.array_equal(backward, forward[[2, 0, 1]])
+    assert not np.array_equal(forward[0], forward[1])
+
+
+def test_evaluate_nothing_gives_an_empty_matrix():
+    env = DualGoal()
+    ledger = BudgetLedger()
+    got = _evaluate(iter(()), env, 4, 3, ledger)
+    assert got.shape == (0, env.spec.d) and got.dtype == np.float64
+    assert ledger.eval_steps == 0
 
 
 def test_evaluate_repeated_theta_gets_equal_returns_and_every_policy_is_charged():
@@ -367,12 +399,12 @@ def test_evaluate_repeated_theta_gets_equal_returns_and_every_policy_is_charged(
     a, b = varied_thetas(env, 2, seed=50)
     ledger = BudgetLedger()
     got = _evaluate([a, b, a.copy(), a], env, 4, 3, ledger)
-    assert np.array_equal(got[0].values, got[2].values)
-    assert np.array_equal(got[0].values, got[3].values)
-    assert not np.array_equal(got[0].values, got[1].values)
+    assert np.array_equal(got[0], got[2])
+    assert np.array_equal(got[0], got[3])
+    assert not np.array_equal(got[0], got[1])
     assert ledger.eval_steps == 4 * 4 * env.spec.horizon
     again = _evaluate([b, a], env, 4, 3, ledger)
-    assert np.array_equal(again[1].values, got[0].values)
+    assert np.array_equal(again[1], got[0])
     assert ledger.eval_steps == 6 * 4 * env.spec.horizon
 
 
@@ -421,12 +453,12 @@ def test_pipeline_evaluates_each_policy_once_per_grade(reference_k3):
     for copy in zero_copies:
         base = bases[copy.base_index]
         assert np.array_equal(copy.theta.data, base.theta.data)
-        assert np.array_equal(copy.returns.values, base.returns.values)
+        assert np.array_equal(copy.returns, base.returns)
     final_seed = derive_seed(cfg.seed, "eval.final")
     for policy_id, values in result.final_values.items():
         theta = result.policies_by_id[policy_id].theta
-        fresh = evaluate_returns(theta, DualGoal(), cfg.final_eval_episodes, final_seed)
-        assert np.array_equal(values, fresh.values)
+        fresh = evaluate_returns(stack_of_one(theta), DualGoal(), cfg.final_eval_episodes, final_seed)
+        assert np.array_equal(values, fresh[0])
 
 
 def test_pipeline_trains_only_in_its_training_stages(train_record):
@@ -681,9 +713,9 @@ def test_retraining_moves_performance_toward_new_preference():
             w_mod.simplefilter("ignore")
             (dirs,) = directional_retrain([base_policy(base, base_w)], env, cfg, ppo_cfg, [5_120], BudgetLedger())
         shifted_w = base_w + dirs.weight_delta
-        differs = not np.array_equal(dirs.base_returns.values, dirs.retrained_returns.values)
-        improved = float(shifted_w @ dirs.retrained_returns.values) >= float(
-            shifted_w @ dirs.base_returns.values
+        differs = not np.array_equal(dirs.base_returns, dirs.retrained_returns)
+        improved = float(shifted_w @ dirs.retrained_returns) >= float(
+            shifted_w @ dirs.base_returns
         )
         assert isinstance(dirs.mutual_non_dominated, bool)  # flag recorded either way
         good += differs and improved
@@ -698,7 +730,7 @@ def test_fine_tuning_improves_scalarized_return_on_most_candidates():
         w_mod.simplefilter("ignore")
         result = run_pipeline(DualGoal(), LleConfig(K=4, seed=0), PpoConfig(), total_budget=60_000)
     before_by_key = {
-        (c.base_index, c.alpha): float(c.matched_w @ c.returns.values) for c in result.selected
+        (c.base_index, c.alpha): float(c.matched_w @ c.returns) for c in result.selected
     }
     improved, total = 0, 0
     for tuned in result.fine_tuned:
@@ -706,6 +738,6 @@ def test_fine_tuning_improves_scalarized_return_on_most_candidates():
         if before is None:
             continue
         total += 1
-        improved += float(tuned.matched_w @ tuned.returns.values) >= before
+        improved += float(tuned.matched_w @ tuned.returns) >= before
     assert total > 0
     assert improved / total >= 0.7, f"only {improved}/{total} candidates improved"

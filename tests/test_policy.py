@@ -6,6 +6,13 @@ from morlext.policy import ParameterVector, evaluate_returns, gaussian_log_prob,
 from morlext.ppo import init_actor_critic
 
 
+def stack(thetas):
+    """Vectors of one layout as a (C, P) stack; a single vector as a stack of one."""
+    if isinstance(thetas, ParameterVector):
+        thetas = [thetas]
+    return ParameterVector(np.stack([t.data for t in thetas]), thetas[0].layout)
+
+
 def test_layout_size_small_net():
     # actor [2, 4, 1]: (2*4+4) + (4*1+1) + 1 log_std = 18; critic [2, 4, 1]: 17
     theta = init_actor_critic(SpeedEnergy(), 0, hidden=(4,))
@@ -56,8 +63,8 @@ def test_evaluate_zero_policy_dual_goal():
     env = DualGoal()
     layout = init_actor_critic(env, 0, hidden=(8, 8)).layout
     zero = ParameterVector(np.zeros(layout.size), layout)
-    result = evaluate_returns(zero, env, episodes=4, seed=5)
-    assert np.allclose(result.values, [0.0, 0.0], atol=1e-12)
+    result = evaluate_returns(stack(zero), env, episodes=4, seed=5)
+    assert np.allclose(result, [[0.0, 0.0]], atol=1e-12)
 
 
 def test_evaluate_full_throttle_speed_energy():
@@ -67,24 +74,23 @@ def test_evaluate_full_throttle_speed_energy():
     theta = ParameterVector(np.zeros(layout.size), layout)
     theta.block("actor.b1")[...] = 5.0  # saturates nothing: output layer bias below
     theta.block("actor.b2")[...] = 1.0
-    result = evaluate_returns(theta, env, episodes=3, seed=2)
-    assert result.values[1] == pytest.approx(-100.0)
+    result = evaluate_returns(stack(theta), env, episodes=3, seed=2)
+    assert result[0, 1] == pytest.approx(-100.0)
 
 
 def test_evaluate_deterministic_is_pure():
     env = DualGoal()
     theta = init_actor_critic(env, 9)
-    a = evaluate_returns(theta, env, episodes=2, seed=31)
-    b = evaluate_returns(theta, env, episodes=2, seed=31)
-    assert np.array_equal(a.values, b.values)
-    assert a.episodes_averaged == 2
+    a = evaluate_returns(stack(theta), env, episodes=2, seed=31)
+    b = evaluate_returns(stack(theta), env, episodes=2, seed=31)
+    assert np.array_equal(a, b)
 
 
 def test_evaluation_noise_shrinks_with_episodes():
     env = DualGoal()
     theta = init_actor_critic(env, 1, hidden=(16, 16))
-    est_1 = [evaluate_returns(theta, env, 1, seed=s, deterministic=False).values for s in range(24)]
-    est_64 = [evaluate_returns(theta, env, 64, seed=s, deterministic=False).values for s in range(24)]
+    est_1 = [evaluate_returns(stack(theta), env, 1, seed=s, deterministic=False)[0] for s in range(24)]
+    est_64 = [evaluate_returns(stack(theta), env, 64, seed=s, deterministic=False)[0] for s in range(24)]
     std_1 = np.std(np.stack(est_1), axis=0)
     std_64 = np.std(np.stack(est_64), axis=0)
     assert np.all(std_64 < std_1)
@@ -121,21 +127,41 @@ def perturbed_policies(env, n, seed=0):
 def test_batched_evaluation_equals_per_policy_loop(env_cls, episodes):
     env = env_cls()
     thetas = perturbed_policies(env, 130)
-    batched = evaluate_returns(thetas, env, episodes, seed=17)
-    assert len(batched) == len(thetas)
+    batched = evaluate_returns(stack(thetas), env, episodes, seed=17)
+    assert batched.shape == (len(thetas), env.spec.d)
     for theta, got in zip(thetas, batched):
-        assert np.array_equal(got.values, per_policy_returns(theta, env, episodes, 17))
-        assert got.episodes_averaged == episodes
-    single = evaluate_returns(thetas[5], env, episodes, seed=17)
-    assert np.array_equal(single.values, batched[5].values)
+        assert np.array_equal(got, per_policy_returns(theta, env, episodes, 17))
+    single = evaluate_returns(stack(thetas[5]), env, episodes, seed=17)
+    assert np.array_equal(single[0], batched[5])
 
 
 @pytest.mark.parametrize("env_cls", [DualGoal, SpeedEnergy])
 def test_stochastic_evaluation_unchanged_and_shared_by_a_batch(env_cls):
     env = env_cls()
     thetas = perturbed_policies(env, 3, seed=4)
-    single = evaluate_returns(thetas[0], env, 8, seed=23, deterministic=False)
-    assert np.array_equal(single.values, per_policy_returns(thetas[0], env, 8, 23, deterministic=False))
-    batched = evaluate_returns(thetas, env, 8, seed=23, deterministic=False)
+    single = evaluate_returns(stack(thetas[0]), env, 8, seed=23, deterministic=False)
+    assert np.array_equal(single[0], per_policy_returns(thetas[0], env, 8, 23, deterministic=False))
+    batched = evaluate_returns(stack(thetas), env, 8, seed=23, deterministic=False)
     for theta, got in zip(thetas, batched):
-        assert np.array_equal(got.values, per_policy_returns(theta, env, 8, 23, deterministic=False))
+        assert np.array_equal(got, per_policy_returns(theta, env, 8, 23, deterministic=False))
+
+
+def test_evaluate_rejects_a_single_vector():
+    theta = init_actor_critic(DualGoal(), 0, hidden=(4,))
+    with pytest.raises(ValueError, match=r"\(C, P\) stack"):
+        evaluate_returns(theta, DualGoal(), episodes=2, seed=0)
+
+
+@pytest.mark.parametrize("episodes", [0, -1])
+def test_evaluate_rejects_fewer_than_one_episode(episodes):
+    theta = init_actor_critic(DualGoal(), 0, hidden=(4,))
+    with pytest.raises(ValueError, match="episodes must be >= 1"):
+        evaluate_returns(stack(theta), DualGoal(), episodes=episodes, seed=0)
+
+
+def test_evaluate_rejects_non_finite_returns():
+    env = DualGoal()
+    thetas = [init_actor_critic(env, seed, hidden=(4,)) for seed in (0, 1)]
+    unflatten(thetas[1]).actor.weights[0][0, 0] = np.nan
+    with pytest.raises(ValueError, match="return vector contains non-finite entries"):
+        evaluate_returns(stack(thetas), env, episodes=2, seed=0)

@@ -321,8 +321,8 @@ def test_opposite_preferences_learn_opposite_tradeoffs():
     theta0 = init_actor_critic(env, derive_seed(0, "net"))
     east = train(theta0, env, np.array([1.0, 0.0]), 100_000, cfg, seed=derive_seed(0, "east"))
     north = train(theta0, env, np.array([0.0, 1.0]), 100_000, cfg, seed=derive_seed(0, "north"))
-    v_east = evaluate_returns(east, env, 32, seed=7).values
-    v_north = evaluate_returns(north, env, 32, seed=7).values
+    v_east = evaluate_returns(stack_of_one(east), env, 32, seed=7)[0]
+    v_north = evaluate_returns(stack_of_one(north), env, 32, seed=7)[0]
     assert v_east[0] > v_north[0]
     assert v_north[1] > v_east[1]
 
