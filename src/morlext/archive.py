@@ -70,15 +70,24 @@ def _parse_without_data(line: str) -> dict:
     return json.loads(line.strip())
 
 
-def _decode(obj: dict, with_theta: bool) -> ArchiveRecord:
+def _decode(obj: Any, with_theta: bool) -> ArchiveRecord:
+    if not isinstance(obj, dict):
+        raise ValueError("not a policy archive record (not a JSON object)")
     if obj.get("format") != FORMAT_TAG:
         raise ValueError(f"not a policy archive record (format={obj.get('format')!r})")
+    meta = obj.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError("policy archive record's meta is not a JSON object")
     if not with_theta:
-        return ArchiveRecord(theta=None, meta=obj.get("meta", {}))
-    layout = ParamLayout(tuple((key, tuple(shape)) for key, shape in obj["layout"]))
-    raw = base64.b64decode(obj["data"])
-    data = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return ArchiveRecord(theta=ParameterVector(data, layout), meta=obj.get("meta", {}))
+        return ArchiveRecord(theta=None, meta=meta)
+    try:
+        layout = ParamLayout(tuple((key, tuple(shape)) for key, shape in obj["layout"]))
+        raw = base64.b64decode(obj["data"])
+        data = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        theta = ParameterVector(data, layout)
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"policy archive record with a missing or malformed layout or data: {err}") from None
+    return ArchiveRecord(theta=theta, meta=meta)
 
 
 def save_archive(path: str | Path, records: Iterable[ArchiveRecord]) -> None:

@@ -3,8 +3,8 @@
 Gradients are computed analytically for the fixed network family (tanh
 MLP mean, state-independent log stds, tanh MLP critic); there is no
 autodiff anywhere. `loss_and_grad` is a pure function of the flat
-parameter vector, which makes the whole update finite-difference
-checkable coordinate by coordinate.
+parameter vector its views were built from, which makes the whole update
+finite-difference checkable coordinate by coordinate.
 
 One update minimizes
 
@@ -19,15 +19,15 @@ gradient views once (`UpdateViews`), the backward pass writes into them
 and Adam steps in place, with the same floating-point operations in the
 same order as the textbook formulas.
 
-Training runs in lockstep. `train` takes one policy or a stack of C
-policies, each with its own weight, seed, log stream and step budget.
-The members' vectors are the rows of one (C, P) matrix whose block views
-are stacked networks, so a rollout step is one stacked actor pass over C
+Training runs in lockstep. `train` takes a stack of C policies, each
+with its own weight, seed, log stream and step budget. The members'
+vectors are the rows of one (C, P) matrix whose block views are stacked
+networks, so a rollout step is one stacked actor pass over C
 environments and a minibatch is one stacked `loss_and_grad` call and one
-Adam step on the matrix; a single policy is a stack of one. A member
-leaves the stack, with its Adam rows, generator and carried observation,
-after its last whole batch or after the batch in which its loss went
-non-finite, and the others go on as they would alone.
+Adam step on the matrix. A member leaves the stack, with its Adam rows,
+generator and carried observation, after its last whole batch or after
+the batch in which its loss went non-finite, and the others go on as
+they would alone.
 Each member draws from its own generator in the order it would alone,
 and every operation on the stack either works row by row (elementwise
 arithmetic, sums along a row, one norm per row) or makes one BLAS call
@@ -170,27 +170,24 @@ class UpdateViews:
 
 
 def loss_and_grad(
-    theta: ParameterVector,
+    views: UpdateViews,
     obs: np.ndarray,
     actions: np.ndarray,
     log_probs_old: np.ndarray,
     advantages: np.ndarray,
     returns: np.ndarray,
     cfg: PpoConfig,
-    views: UpdateViews | None = None,
-) -> tuple[float, np.ndarray]:
-    """PPO loss on a minibatch and its exact gradient wrt the flat vector.
+) -> tuple[np.ndarray, np.ndarray]:
+    """PPO loss on a minibatch and its exact gradient wrt the flat vector
+    the views were built from.
 
-    `views` must have been built from this `theta`. The gradient is
-    written into its buffer, which the next call with the same views
-    overwrites; without `views` the returned gradient is a fresh array.
-
-    For a (C, P) stack the minibatch arrays lead with the member axis,
-    the loss is a (C,) array and the gradient (C, P). A non-finite loss
-    is returned like any other; the caller decides what it means.
+    The gradient is written into the views' buffer, which the next call
+    with the same views overwrites. For the views of one (P,) vector the
+    loss is a 0-d array and the gradient (P,); for a (C, P) stack the
+    minibatch arrays lead with the member axis, the loss is a (C,) array
+    and the gradient (C, P). A non-finite loss is returned like any
+    other; the caller decides what it means.
     """
-    if views is None:
-        views = UpdateViews(theta)
     actor, log_std_row, critic = views.nets
     grads = views.grads
     log_std = log_std_row[..., None, :]
@@ -229,20 +226,19 @@ def loss_and_grad(
 
     grad_values = (2.0 * cfg.value_coeff / n) * value_err
     critic.backward(grad_values[..., None], critic_acts, grads.critic.weights, grads.critic.biases)
-    return (float(loss) if loss.ndim == 0 else loss), views.grad
+    return loss, views.grad
 
 
 class Adam:
-    """Adam over a flat parameter vector, or row by row over a (C, P) stack
-    of them (`size` is then that shape)."""
+    """Adam row by row over a (C, P) stack of flat parameter vectors."""
 
-    def __init__(self, size: int | tuple[int, ...], lr: float):
+    def __init__(self, shape: tuple[int, int], lr: float):
         self.lr = lr
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
         self.t = 0
-        self._num = np.empty(size)
-        self._den = np.empty(size)
+        self._num = np.empty(shape)
+        self._den = np.empty(shape)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         """params -= (lr * m_hat) / (sqrt(v_hat) + eps), in place.
@@ -287,23 +283,21 @@ def ppo_update(
     buffer: RolloutBuffer,
     cfg: PpoConfig,
     rngs: Sequence[np.random.Generator],
-    optimizer: Adam | None = None,
+    optimizer: Adam,
 ) -> tuple[ParameterVector, dict[int, DivergenceError]]:
     """Run `epochs` passes of minibatch clipped-surrogate descent on a
     stack of C policies in lockstep.
 
     `stack.data` has shape (C, P), `buffer` comes from `collect_rollout`
     on it and `rngs` holds one generator per member. Each minibatch is
-    one stacked `loss_and_grad` call and one Adam step on the matrix. The
-    input stack is not mutated. Pass `optimizer`, an Adam over the (C, P)
-    shape, to carry Adam moments across batches within a training run.
-    A member's first non-finite loss becomes its DivergenceError; its row
-    stays in the stack to the end of the update, where the caller drops
-    it. Returns the updated stack and {stack row: DivergenceError}.
+    one stacked `loss_and_grad` call and one step of `optimizer`, an Adam
+    over the (C, P) shape that carries its moments across the batches of
+    a training run. The input stack is not mutated. A member's first
+    non-finite loss becomes its DivergenceError; its row stays in the
+    stack to the end of the update, where the caller drops it. Returns
+    the updated stack and {stack row: DivergenceError}.
     """
     stack = stack.copy()
-    if optimizer is None:
-        optimizer = Adam(stack.data.shape, cfg.learning_rate)
     arrays = [buffer.observations, buffer.actions, buffer.log_probs, buffer.advantages, buffer.returns]
     rows = np.arange(len(rngs))[:, None]
     errors: dict[int, DivergenceError] = {}
@@ -314,7 +308,7 @@ def ppo_update(
         order = np.stack([g.permutation(n) for g in rngs])
         for start in range(0, n, mb_size):
             idx = order[:, start : start + mb_size]
-            loss, grad = loss_and_grad(stack, *(a[rows, idx] for a in arrays), cfg, views)
+            loss, grad = loss_and_grad(views, *(a[rows, idx] for a in arrays), cfg)
             finite = np.isfinite(loss)
             if not finite.all():
                 for row in np.flatnonzero(~finite):
@@ -423,40 +417,32 @@ def steps_taken(total_steps: int, cfg: PpoConfig) -> int:
 
 
 def train(
-    theta: ParameterVector | Sequence[ParameterVector],
+    thetas: Sequence[ParameterVector],
     env: VectorRewardEnv,
-    weight: np.ndarray | Sequence[np.ndarray],
+    weights: Sequence[np.ndarray],
     total_steps: int,
     cfg: PpoConfig,
-    seed: int | Sequence[int],
-    log_stream: IO[str] | None | Sequence[IO[str] | None] = None,
+    seeds: Sequence[int],
+    logs: Sequence[IO[str] | None],
     *,
     member_steps: Sequence[int] | None = None,
-) -> ParameterVector | list[ParameterVector | DivergenceError]:
-    """Train under one preference weight until the step budget is consumed.
+) -> list[ParameterVector | DivergenceError]:
+    """Train a stack of C policies in lockstep until each member's step
+    budget is consumed.
 
-    Whole batches only: the number of environment steps taken is
-    `steps_taken(total_steps, cfg)`. A budget below one batch returns the
-    input unchanged. Fully reproducible from (theta, seed). A non-finite
-    loss raises DivergenceError.
+    `thetas` holds the C start vectors (one layout); `weights`, `seeds`
+    and `logs` hold one entry per member, and a log may be None. A list
+    comes back in member order, each vector bit-identical to training
+    that member in a stack of one and reproducible from (theta, seed).
 
-    Sequences of C start vectors (one layout), weights, seeds and log
-    streams train as one lockstep stack, and a list comes back in member
-    order, each vector bit-identical to training that member alone.
-    `total_steps` is every member's budget unless `member_steps` gives
-    one per member, each at most `total_steps`. A member leaves the stack
-    after its last whole batch, and one whose budget is below one batch
-    never joins it and comes back unchanged. A member whose loss goes
-    non-finite leaves the stack after that batch, and its DivergenceError
-    takes the place of its vector in the list.
+    Whole batches only: a member takes `steps_taken(budget, cfg)`
+    environment steps. `total_steps` is every member's budget unless
+    `member_steps` gives one per member, each at most `total_steps`. A
+    member leaves the stack after its last whole batch, and one whose
+    budget is below one batch never joins it and comes back unchanged. A
+    member whose loss goes non-finite leaves the stack after that batch,
+    and its DivergenceError takes the place of its vector in the list.
     """
-    if isinstance(theta, ParameterVector):
-        (out,) = train([theta], env, [weight], total_steps, cfg, [seed], [log_stream], member_steps=member_steps)
-        if isinstance(out, DivergenceError):
-            raise out
-        return out
-    thetas, weights, seeds = list(theta), list(weight), list(seed)
-    logs = [None] * len(thetas) if log_stream is None else list(log_stream)
     budgets = [total_steps] * len(thetas) if member_steps is None else list(member_steps)
     if not len(thetas) == len(weights) == len(seeds) == len(logs) == len(budgets):
         raise ValueError("need one weight, seed, log stream and step budget per policy")

@@ -56,16 +56,14 @@ class QuadraticObjectiveFamily:
     def n(self) -> int:
         return self.centers.shape[1]
 
-    def values(self, theta: np.ndarray) -> np.ndarray:
-        """V(theta), one entry per objective. Accepts (n,) or (k, n)."""
-        theta = np.asarray(theta, dtype=np.float64)
-        single = theta.ndim == 1
-        pts = theta[None, :] if single else theta
-        out = np.empty((pts.shape[0], self.d))
+    def values(self, thetas: np.ndarray) -> np.ndarray:
+        """V at each row of a (k, n) matrix: a (k, d) matrix."""
+        thetas = np.asarray(thetas, dtype=np.float64)
+        out = np.empty((thetas.shape[0], self.d))
         for i in range(self.d):
-            diff = pts - self.centers[i]
+            diff = thetas - self.centers[i]
             out[:, i] = -np.einsum("kj,jl,kl->k", diff, self.curvatures[i], diff)
-        return out[0] if single else out
+        return out
 
     def scalarized_optimum(self, weight: np.ndarray) -> np.ndarray:
         """Exact maximizer of w . V, the converged-training stand-in."""
@@ -100,12 +98,13 @@ def pareto_path(fam: QuadraticObjectiveFamily, n_points: int = 100_001) -> tuple
 
 
 def polyline_distance(points: np.ndarray, polyline: np.ndarray) -> np.ndarray:
-    """Min Euclidean distance from each query point to a polyline.
+    """Min Euclidean distance from each row of a (k, d) matrix of query
+    points to a polyline.
 
     Distances go to the segments, not only the vertices, so the
     discretization error is second order in the vertex spacing.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    points = np.asarray(points, dtype=np.float64)
     seg_a = polyline[:-1]
     seg_v = polyline[1:] - seg_a
     seg_len2 = np.maximum(np.sum(seg_v**2, axis=1), 1e-300)

@@ -30,8 +30,8 @@ def train_record(monkeypatch):
     running = []
     real_train = extension.train
 
-    def recording(thetas, env, weights, total_steps, cfg, seeds, log_streams=None, *, member_steps=None):
-        results = real_train(thetas, env, weights, total_steps, cfg, seeds, log_streams, member_steps=member_steps)
+    def recording(thetas, env, weights, total_steps, cfg, seeds, logs, *, member_steps=None):
+        results = real_train(thetas, env, weights, total_steps, cfg, seeds, logs, member_steps=member_steps)
         steps = member_steps if member_steps is not None else [total_steps] * len(seeds)
         taken = sum(steps_taken(s, cfg) for s, r in zip(steps, results) if not isinstance(r, DivergenceError))
         record.calls.append((bool(running), taken))

@@ -15,7 +15,7 @@ from morlext.envs import DualGoal, SpeedEnergy
 from morlext.extension import LleConfig, run_pipeline
 from morlext.pareto import expected_utility, hypervolume, sparsity
 from morlext.policy import ParameterVector, evaluate_returns
-from morlext.ppo import PpoConfig, init_actor_critic, loss_and_grad, train
+from morlext.ppo import PpoConfig, UpdateViews, init_actor_critic, loss_and_grad, train
 from morlext.quadratic import preset_error_curve
 from morlext.seeding import derive_seed
 
@@ -153,12 +153,12 @@ def test_ppo_gradient_check():
 
     def loss_at(vec):
         loss, _ = loss_and_grad(
-            ParameterVector(vec, theta.layout),
+            UpdateViews(ParameterVector(vec, theta.layout)),
             obs, actions, logp_old, advantages, returns, cfg,
         )
         return loss
 
-    _, grad = loss_and_grad(theta, obs, actions, logp_old, advantages, returns, cfg)
+    _, grad = loss_and_grad(UpdateViews(theta), obs, actions, logp_old, advantages, returns, cfg)
     coords = rng.choice(theta.layout.size, size=100, replace=False)
     matches = 0
     for c in coords:
@@ -196,7 +196,7 @@ def test_single_objective_training_sanity():
             ]
         )
         base_mean, base_std = episodes.mean(axis=0)[0], episodes.std(axis=0)[0]
-        trained = train(theta0, env, w, 50_000, cfg, seed=derive_seed(seed, "train"))
+        trained = train([theta0], env, [w], 50_000, cfg, [derive_seed(seed, "train")], [None])[0]
         final = evaluate_returns(
             ParameterVector(trained.data[None], trained.layout), env, 32, derive_seed(seed, "eval")
         )[0, 0]
@@ -228,14 +228,14 @@ def test_retrained_policy_closer_than_independent():
     for seed in range(5):
         env = DualGoal()
         base = train(
-            init_actor_critic(env, derive_seed(seed, "net-a")),
-            env, w1, base_steps, cfg, seed=derive_seed(seed, "base"),
-        )
-        retrained = train(base, env, w2, retrain_steps, cfg, seed=derive_seed(seed, "retrain"))
+            [init_actor_critic(env, derive_seed(seed, "net-a"))],
+            env, [w1], base_steps, cfg, [derive_seed(seed, "base")], [None],
+        )[0]
+        retrained = train([base], env, [w2], retrain_steps, cfg, [derive_seed(seed, "retrain")], [None])[0]
         independent = train(
-            init_actor_critic(env, derive_seed(seed, "net-b")),
-            env, w2, base_steps + retrain_steps, cfg, seed=derive_seed(seed, "indep"),
-        )
+            [init_actor_critic(env, derive_seed(seed, "net-b"))],
+            env, [w2], base_steps + retrain_steps, cfg, [derive_seed(seed, "indep")], [None],
+        )[0]
         d_retrained, _ = hungarian_distance(base, retrained)
         d_independent, _ = hungarian_distance(base, independent)
         wins += d_retrained < d_independent

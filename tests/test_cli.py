@@ -251,6 +251,49 @@ def test_front_export_builds_no_parameter_vector(run_dir, tmp_path, monkeypatch,
     assert decodes == [] and load_front_table(out).points
 
 
+MALFORMED = {
+    "not_an_object": lambda record: [1, 2],
+    "meta_not_an_object": lambda record: {**record, "meta": [1, 2]},
+    "no_layout": lambda record: {k: v for k, v in record.items() if k != "layout"},
+    "no_data": lambda record: {k: v for k, v in record.items() if k != "data"},
+    "layout_not_a_list": lambda record: {**record, "layout": 5},
+    "data_not_a_string": lambda record: {**record, "data": 5},
+    "shape_not_a_list": lambda record: {**record, "layout": [[key, "a"] for key, _ in record["layout"]]},
+    "scalar_returns": lambda record: {**record, "meta": {**record["meta"], "returns": 5}},
+    "empty_returns": lambda record: {**record, "meta": {**record["meta"], "returns": []}},
+}
+
+
+@pytest.mark.parametrize("case, command", [
+    ("not_an_object", "front-export"),
+    ("not_an_object", "distance"),
+    ("meta_not_an_object", "front-export"),
+    ("no_layout", "distance"),
+    ("no_data", "distance"),
+    ("layout_not_a_list", "distance"),
+    ("data_not_a_string", "distance"),
+    ("shape_not_a_list", "distance"),
+    ("scalar_returns", "front-export"),
+    ("empty_returns", "front-export"),
+])
+def test_malformed_archive_record_is_usage_error(tmp_path, capsys, case, command):
+    from morlext.envs import DualGoal
+    from morlext.ppo import init_actor_critic
+
+    theta = init_actor_critic(DualGoal(), seed=0, hidden=(4, 4))
+    record = json.loads(archive._encode(archive.ArchiveRecord(theta, {"policy_id": 0, "returns": [1.0, 2.0]})))
+    path = tmp_path / "policies.jsonl"
+    path.write_text(json.dumps(MALFORMED[case](record)) + "\n")
+    if command == "distance":
+        argv = ["distance", str(path), str(path)]
+    else:
+        argv = ["front-export", str(path), "-o", str(tmp_path / "front.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_python_dash_m_morlext_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=str(Path(morlext.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "morlext", "--help"], env=env, capture_output=True, text=True,

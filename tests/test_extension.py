@@ -334,9 +334,9 @@ def test_train_all_makes_one_stacked_call_and_returns_job_order(monkeypatch, tmp
     calls = []
     real = extension.train
 
-    def recording(thetas, env, weights, total_steps, cfg, seeds, log_streams=None, *, member_steps=None):
+    def recording(thetas, env, weights, total_steps, cfg, seeds, logs, *, member_steps=None):
         calls.append((total_steps, list(seeds), list(member_steps)))
-        return real(thetas, env, weights, total_steps, cfg, seeds, log_streams, member_steps=member_steps)
+        return real(thetas, env, weights, total_steps, cfg, seeds, logs, member_steps=member_steps)
 
     monkeypatch.setattr(extension, "train", recording)
     ledger = BudgetLedger()
@@ -344,7 +344,7 @@ def test_train_all_makes_one_stacked_call_and_returns_job_order(monkeypatch, tmp
     assert calls == [(2 * batch, [70, 71, 72, 73], [2 * batch, batch, 2 * batch, batch])]
     assert taken == ledger.train_all_steps == 6 * batch
     for job, theta in zip(jobs, trained):
-        alone = train(job.theta, env, job.weight, job.steps, ppo_cfg, job.seed)
+        alone = train([job.theta], env, [job.weight], job.steps, ppo_cfg, [job.seed], [None])[0]
         assert np.array_equal(theta.data, alone.data)
         assert len((tmp_path / f"{job.name}.log").read_text().splitlines()) == job.steps // batch
 
@@ -474,7 +474,7 @@ def test_training_free_check_fails_on_training_during_extension(train_record, mo
     def training_grid(*args):
         env = DualGoal()
         extension.train([init_actor_critic(env, seed=90, hidden=(8, 8))], env, [np.array([0.5, 0.5])],
-                        tiny_ppo().steps_per_batch, tiny_ppo(), [91])
+                        tiny_ppo().steps_per_batch, tiny_ppo(), [91], [None])
         return real_grid(*args)
 
     monkeypatch.setattr(extension, "alpha_grid", training_grid)
@@ -578,9 +578,9 @@ def diverging_train(monkeypatch, bad_seeds):
     real = extension.train
     seen = []
 
-    def fake(thetas, env, weights, total_steps, cfg, seeds, log_streams=None, *, member_steps=None):
+    def fake(thetas, env, weights, total_steps, cfg, seeds, logs, *, member_steps=None):
         seen.extend(seeds)
-        results = real(thetas, env, weights, total_steps, cfg, seeds, log_streams, member_steps=member_steps)
+        results = real(thetas, env, weights, total_steps, cfg, seeds, logs, member_steps=member_steps)
         return [DivergenceError("non-finite PPO loss (nan)") if seed in bad_seeds else result
                 for seed, result in zip(seeds, results)]
 
@@ -653,10 +653,10 @@ def test_zero_direction_is_warned_about_once_per_base(monkeypatch, tmp_path):
     real = extension.train
     retrain_seeds = {derive_seed(0, "retrain", k, 1) for k in range(3)}
 
-    def unmoved_retrain(thetas, env, weights, total_steps, cfg, seeds, log_streams=None, *, member_steps=None):
+    def unmoved_retrain(thetas, env, weights, total_steps, cfg, seeds, logs, *, member_steps=None):
         if set(seeds) <= retrain_seeds:
             return [theta.copy() for theta in thetas]
-        return real(thetas, env, weights, total_steps, cfg, seeds, log_streams, member_steps=member_steps)
+        return real(thetas, env, weights, total_steps, cfg, seeds, logs, member_steps=member_steps)
 
     monkeypatch.setattr(extension, "train", unmoved_retrain)
     config = tmp_path / "c.ini"
@@ -707,7 +707,7 @@ def test_retraining_moves_performance_toward_new_preference():
         base = init_actor_critic(env, derive_seed(seed, "net"))
         from morlext.ppo import train
 
-        base = train(base, env, base_w, 20_000, ppo_cfg, derive_seed(seed, "train"))
+        base = train([base], env, [base_w], 20_000, ppo_cfg, [derive_seed(seed, "train")], [None])[0]
         cfg = LleConfig(K=2, seed=seed, final_eval_episodes=32)
         with w_mod.catch_warnings():
             w_mod.simplefilter("ignore")

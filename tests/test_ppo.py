@@ -7,6 +7,7 @@ from morlext.envs import DualGoal, SpeedEnergy, VectorRewardEnv, EnvSpec
 from morlext.ppo import (
     Adam,
     PpoConfig,
+    UpdateViews,
     collect_rollout,
     compute_gae,
     init_actor_critic,
@@ -102,13 +103,13 @@ def test_gradient_matches_finite_differences():
         from morlext.policy import ParameterVector
 
         loss, _ = loss_and_grad(
-            ParameterVector(vec, theta.layout),
+            UpdateViews(ParameterVector(vec, theta.layout)),
             obs, actions, logp_old, advantages, returns, cfg,
         )
         return loss
 
     _, grad = loss_and_grad(
-        theta, obs, actions, logp_old, advantages, returns, cfg
+        UpdateViews(theta), obs, actions, logp_old, advantages, returns, cfg
     )
     rng = np.random.default_rng(7)
     coords = rng.choice(theta.layout.size, size=100, replace=False)
@@ -175,7 +176,8 @@ def test_update_zero_advantages_only_moves_critic():
     cfg = small_cfg()
     buf = make_buffer(env, theta, cfg)
     buf.advantages[:] = 0.0
-    out, _ = ppo_update(stack_of_one(theta), buf, cfg, [np.random.default_rng(0)])
+    adam = Adam((1, theta.layout.size), cfg.learning_rate)
+    out, _ = ppo_update(stack_of_one(theta), buf, cfg, [np.random.default_rng(0)], adam)
     offsets = theta.layout.offsets()
     for key, _ in theta.layout.entries:
         start, end, _ = offsets[key]
@@ -193,16 +195,16 @@ def test_update_does_not_mutate_input():
     cfg = small_cfg()
     buf = make_buffer(env, theta, cfg)
     stack = stack_of_one(theta)
-    ppo_update(stack, buf, cfg, [np.random.default_rng(0)])
+    ppo_update(stack, buf, cfg, [np.random.default_rng(0)], Adam(stack.data.shape, cfg.learning_rate))
     assert np.array_equal(stack.data[0], snapshot)
     assert np.array_equal(theta.data, snapshot)
 
 
 def test_adam_zero_grad_zero_step():
-    opt = Adam(4, lr=0.1)
-    params = np.ones(4)
-    opt.step(params, np.zeros(4))
-    assert np.array_equal(params, np.ones(4))
+    opt = Adam((1, 4), lr=0.1)
+    params = np.ones((1, 4))
+    opt.step(params, np.zeros((1, 4)))
+    assert np.array_equal(params, np.ones((1, 4)))
 
 
 def test_non_finite_loss_reports_divergence():
@@ -213,7 +215,9 @@ def test_non_finite_loss_reports_divergence():
     cfg = small_cfg()
     buf = make_buffer(env, theta, cfg)
     buf.returns[:] = np.inf  # poisons the value loss
-    out, errors = ppo_update(stack_of_one(theta), buf, cfg, [np.random.default_rng(0)])
+    adam = Adam((1, theta.layout.size), cfg.learning_rate)
+    with np.errstate(invalid="ignore"):
+        out, errors = ppo_update(stack_of_one(theta), buf, cfg, [np.random.default_rng(0)], adam)
     assert set(errors) == {0}
     assert isinstance(errors[0], DivergenceError)
     # The first non-finite loss is recorded, not a later one of the NaN row.
@@ -232,9 +236,10 @@ def test_loss_and_grad_returns_non_finite_stacked_loss():
     batches = [frozen_minibatch(env, t, seed=k) for k, t in enumerate(thetas)]
     obs, actions, logp_old, advantages, returns = (np.stack(parts) for parts in zip(*batches))
     returns[1] = np.inf
-    loss, grad = loss_and_grad(stack, obs, actions, logp_old, advantages, returns, cfg)
+    with np.errstate(invalid="ignore"):
+        loss, grad = loss_and_grad(UpdateViews(stack), obs, actions, logp_old, advantages, returns, cfg)
     assert loss.shape == (2,) and np.isposinf(loss[1])
-    alone_loss, alone_grad = loss_and_grad(thetas[0], *batches[0], cfg)
+    alone_loss, alone_grad = loss_and_grad(UpdateViews(thetas[0]), *batches[0], cfg)
     assert loss[0] == alone_loss
     assert np.array_equal(grad[0], alone_grad)
 
@@ -259,7 +264,7 @@ def test_init_actor_critic_bytes_are_pinned(env_cls, seed, hidden, digest):
 def test_train_zero_steps_identity():
     env = SpeedEnergy()
     theta = init_actor_critic(env, seed=4, hidden=(8, 8))
-    out = train(theta, env, np.array([1.0, 0.0]), 0, small_cfg(), seed=0)
+    out = train([theta], env, [np.array([1.0, 0.0])], 0, small_cfg(), [0], [None])[0]
     assert np.array_equal(out.data, theta.data)
 
 
@@ -268,8 +273,8 @@ def test_train_deterministic():
     theta = init_actor_critic(env, seed=5, hidden=(8, 8))
     cfg = small_cfg()
     w = np.array([0.5, 0.5])
-    a = train(theta, env, w, 3 * cfg.steps_per_batch, cfg, seed=77)
-    b = train(theta, env, w, 3 * cfg.steps_per_batch, cfg, seed=77)
+    a = train([theta], env, [w], 3 * cfg.steps_per_batch, cfg, [77], [None])[0]
+    b = train([theta], env, [w], 3 * cfg.steps_per_batch, cfg, [77], [None])[0]
     assert np.array_equal(a.data, b.data)
 
 
@@ -277,7 +282,7 @@ def test_train_consumes_whole_batches_only():
     env = DualGoal()
     theta = init_actor_critic(env, seed=6, hidden=(8, 8))
     cfg = small_cfg()
-    out_partial = train(theta, env, np.array([0.5, 0.5]), cfg.steps_per_batch - 1, cfg, seed=0)
+    out_partial = train([theta], env, [np.array([0.5, 0.5])], cfg.steps_per_batch - 1, cfg, [0], [None])[0]
     assert np.array_equal(out_partial.data, theta.data)
 
 
@@ -304,8 +309,9 @@ def test_scalarization_consistency_single_objective_wrapper():
     env = DualGoal()
     theta = init_actor_critic(env, seed=7, hidden=(8, 8))
     cfg = small_cfg()
-    full = train(theta, env, np.array([1.0, 0.0]), 2 * cfg.steps_per_batch, cfg, seed=9)
-    wrapped = train(theta, FirstObjectiveOnly(DualGoal()), np.array([1.0]), 2 * cfg.steps_per_batch, cfg, seed=9)
+    full = train([theta], env, [np.array([1.0, 0.0])], 2 * cfg.steps_per_batch, cfg, [9], [None])[0]
+    wrapped = train([theta], FirstObjectiveOnly(DualGoal()), [np.array([1.0])], 2 * cfg.steps_per_batch, cfg, [9],
+                    [None])[0]
     assert np.array_equal(full.data, wrapped.data)
 
 
@@ -319,8 +325,8 @@ def test_opposite_preferences_learn_opposite_tradeoffs():
     cfg = PpoConfig()
     env = DualGoal()
     theta0 = init_actor_critic(env, derive_seed(0, "net"))
-    east = train(theta0, env, np.array([1.0, 0.0]), 100_000, cfg, seed=derive_seed(0, "east"))
-    north = train(theta0, env, np.array([0.0, 1.0]), 100_000, cfg, seed=derive_seed(0, "north"))
+    east = train([theta0], env, [np.array([1.0, 0.0])], 100_000, cfg, [derive_seed(0, "east")], [None])[0]
+    north = train([theta0], env, [np.array([0.0, 1.0])], 100_000, cfg, [derive_seed(0, "north")], [None])[0]
     v_east = evaluate_returns(stack_of_one(east), env, 32, seed=7)[0]
     v_north = evaluate_returns(stack_of_one(north), env, 32, seed=7)[0]
     assert v_east[0] > v_north[0]
@@ -339,7 +345,7 @@ def test_interaction_accounting_within_one_batch():
     theta = init_actor_critic(env, seed=8, hidden=(8, 8))
     cfg = small_cfg()
     requested = 3 * cfg.steps_per_batch + 57
-    train(theta, env, np.array([0.5, 0.5]), requested, cfg, seed=0)
+    train([theta], env, [np.array([0.5, 0.5])], requested, cfg, [0], [None])
     assert counted["n"] == 3 * cfg.steps_per_batch
     assert requested - counted["n"] < cfg.steps_per_batch
 
@@ -444,7 +450,7 @@ def test_train_bit_identical_to_textbook_reference():
     cfg = PpoConfig()
     w = np.array([0.3, 0.7])
     steps = 3 * cfg.steps_per_batch
-    out = train(theta, env, w, steps, cfg, seed=5)
+    out = train([theta], env, [w], steps, cfg, [5], [None])[0]
     ref = _reference_train(theta, env, w, steps, cfg, seed=5)
     assert not np.array_equal(out.data, theta.data)
     assert np.array_equal(out.data, ref.data)
@@ -455,10 +461,10 @@ def test_loss_and_grad_result_survives_next_call():
     theta = init_actor_critic(env, seed=22, hidden=(16, 16))
     cfg = PpoConfig()
     first = frozen_minibatch(env, theta, seed=0)
-    _, grad = loss_and_grad(theta, *first, cfg)
+    _, grad = loss_and_grad(UpdateViews(theta), *first, cfg)
     kept = grad.copy()
     assert np.array_equal(kept, _reference_grad(theta, *first, cfg))
-    _, other = loss_and_grad(theta, *frozen_minibatch(env, theta, seed=1), cfg)
+    _, other = loss_and_grad(UpdateViews(theta), *frozen_minibatch(env, theta, seed=1), cfg)
     assert not np.array_equal(other, kept)
     assert np.array_equal(grad, kept)
 
@@ -487,7 +493,7 @@ def test_stack_equals_single_runs_bit_for_bit():
     assert len(stacked) == 3
     for theta, w, seed, got, log in zip(thetas, weights, seeds, stacked, logs):
         alone_log = io.StringIO()
-        alone = train(theta, env, w, steps, cfg, seed, alone_log)
+        alone = train([theta], env, [w], steps, cfg, [seed], [alone_log])[0]
         assert not np.array_equal(got.data, theta.data)
         assert np.array_equal(got.data, alone.data)
         assert log.getvalue() == alone_log.getvalue() != ""
@@ -506,13 +512,13 @@ def test_stack_member_with_inf_log_std_diverges_alone():
     bad.block("actor.log_std")[:] = np.inf
     thetas[1] = bad
     with np.errstate(invalid="ignore"):
-        stacked = train(thetas, env, weights, steps, cfg, seeds)
-        with pytest.raises(DivergenceError) as alone_err:
-            train(bad, env, weights[1], steps, cfg, seeds[1])
+        stacked = train(thetas, env, weights, steps, cfg, seeds, [None] * 3)
+        alone_err = train([bad], env, [weights[1]], steps, cfg, [seeds[1]], [None])[0]
+    assert isinstance(alone_err, DivergenceError)
     assert isinstance(stacked[1], DivergenceError)
-    assert str(stacked[1]) == str(alone_err.value)
+    assert str(stacked[1]) == str(alone_err)
     for k in (0, 2):
-        alone = train(thetas[k], env, weights[k], steps, cfg, seeds[k])
+        alone = train([thetas[k]], env, [weights[k]], steps, cfg, [seeds[k]], [None])[0]
         assert np.array_equal(stacked[k].data, alone.data)
 
 
@@ -532,7 +538,7 @@ def test_mixed_budget_stack_equals_single_runs_bit_for_bit():
             assert log.getvalue() == ""
             continue
         alone_log = io.StringIO()
-        alone = train(theta, env, w, steps, cfg, seed, alone_log)
+        alone = train([theta], env, [w], steps, cfg, [seed], [alone_log])[0]
         assert np.array_equal(got.data, alone.data)
         assert log.getvalue() == alone_log.getvalue()
         assert len(log.getvalue().splitlines()) == steps // batch
@@ -554,23 +560,24 @@ def test_member_diverging_after_a_shorter_member_left(monkeypatch):
     poison_at = cfg.epochs * cfg.minibatches + 3
     calls = []  # stack size at each loss_and_grad call
 
-    def poisoned(theta, obs, actions, log_probs_old, advantages, returns, cfg, views=None):
+    def poisoned(views, obs, actions, log_probs_old, advantages, returns, cfg):
         calls.append(len(returns))
         if len(calls) == poison_at:
             returns[0] = np.inf  # stack row 0: the second member once the first has left
-        return real(theta, obs, actions, log_probs_old, advantages, returns, cfg, views)
+        return real(views, obs, actions, log_probs_old, advantages, returns, cfg)
 
     monkeypatch.setattr(ppo, "loss_and_grad", poisoned)
-    stacked = train(thetas, env, weights, 3 * batch, cfg, seeds, member_steps=budgets)
-    assert calls[0] == 4 and calls[poison_at - 1] == 3
-    calls.clear()
-    with pytest.raises(DivergenceError) as alone_err:
-        train(thetas[1], env, weights[1], budgets[1], cfg, seeds[1])
+    with np.errstate(invalid="ignore"):
+        stacked = train(thetas, env, weights, 3 * batch, cfg, seeds, [None] * 4, member_steps=budgets)
+        assert calls[0] == 4 and calls[poison_at - 1] == 3
+        calls.clear()
+        alone_err = train([thetas[1]], env, [weights[1]], budgets[1], cfg, [seeds[1]], [None])[0]
+    assert isinstance(alone_err, DivergenceError)
     assert isinstance(stacked[1], DivergenceError)
-    assert str(stacked[1]) == str(alone_err.value)
+    assert str(stacked[1]) == str(alone_err)
     monkeypatch.setattr(ppo, "loss_and_grad", real)
     for k in (0, 2, 3):
-        alone = train(thetas[k], env, weights[k], budgets[k], cfg, seeds[k])
+        alone = train([thetas[k]], env, [weights[k]], budgets[k], cfg, [seeds[k]], [None])[0]
         assert np.array_equal(stacked[k].data, alone.data)
 
 
@@ -579,4 +586,5 @@ def test_member_steps_of_wrong_length_rejected():
     cfg = small_cfg()
     thetas, weights, seeds = stack_members(env)
     with pytest.raises(ValueError, match="step budget per policy"):
-        train(thetas, env, weights, cfg.steps_per_batch, cfg, seeds, member_steps=[cfg.steps_per_batch] * 2)
+        train(thetas, env, weights, cfg.steps_per_batch, cfg, seeds, [None] * 3,
+              member_steps=[cfg.steps_per_batch] * 2)

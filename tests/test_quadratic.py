@@ -50,20 +50,17 @@ def test_segment_points_non_dominated_and_off_segment_dominated():
     rng = np.random.default_rng(5)
 
     # On the open segment: nothing on the dense front dominates the point.
-    for t in rng.uniform(0.01, 0.99, size=300):
-        v = fam.values(c1 + t * (c2 - c1))
+    ts = rng.uniform(0.01, 0.99, size=300)
+    for v in fam.values(c1 + ts[:, None] * (c2 - c1)):
         dominated = np.any(np.all(front >= v, axis=1) & np.any(front > v, axis=1))
         assert not dominated
 
     # Off the segment: the projection dominates the point.
-    for _ in range(700):
-        theta = rng.uniform(-0.5, 1.5, size=2)
-        t = np.clip(np.dot(theta - c1, c2 - c1) / np.dot(c2 - c1, c2 - c1), 0.0, 1.0)
-        proj = c1 + t * (c2 - c1)
-        if np.linalg.norm(theta - proj) < 1e-6:
-            continue
-        v_theta = fam.values(theta)
-        v_proj = fam.values(proj)
+    thetas = rng.uniform(-0.5, 1.5, size=(700, 2))
+    ts = np.clip((thetas - c1) @ (c2 - c1) / np.dot(c2 - c1, c2 - c1), 0.0, 1.0)
+    projs = c1 + ts[:, None] * (c2 - c1)
+    off = np.linalg.norm(thetas - projs, axis=1) >= 1e-6
+    for v_theta, v_proj in zip(fam.values(thetas[off]), fam.values(projs[off])):
         assert np.all(v_proj >= v_theta) and np.any(v_proj > v_theta)
 
 
@@ -92,7 +89,7 @@ def test_error_at_alpha_zero_within_discretization_tolerance():
     fam = preset_family("curved")
     base = fam.scalarized_optimum(PRESET_BASE_WEIGHT)
     _, front = pareto_path(fam)
-    assert polyline_distance(fam.values(base)[None, :], front)[0] <= 1e-6
+    assert polyline_distance(fam.values(base[None, :]), front)[0] <= 1e-6
 
 
 def test_error_vanishes_first_order_near_zero():
