@@ -393,10 +393,8 @@ def cmd_front_export(args) -> int:
         values = rec.meta.get("final_returns") or rec.meta.get("returns")
         if values is None:
             raise ConfigError(f"{args.policies}: record without return metadata")
-        if np.ndim(values) != 1 or len(values) == 0:
-            raise ConfigError(f"{args.policies}: record whose returns are not a non-empty vector")
         points.append(
-            FrontPoint(np.array(values), rec.meta.get("policy_id", len(points)), rec.meta.get("stage", ""))
+            FrontPoint(values, rec.meta.get("policy_id", len(points)), rec.meta.get("stage", ""))
         )
     archive = non_dominated_filter(points)
     save_front_table(args.output, archive)

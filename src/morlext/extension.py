@@ -252,7 +252,9 @@ def _evaluate(
         n = 0
         for n, theta in enumerate(itertools.islice(pending, EVAL_CHUNK), 1):
             if n > len(stack):
-                stack.resize((min(2 * n, EVAL_CHUNK), theta.layout.size))
+                # Only the first chunk grows the stack, before any view of it exists;
+                # a tracer's hold on this frame's locals would fail the reference check.
+                stack.resize((min(2 * n, EVAL_CHUNK), theta.layout.size), refcheck=False)
             stack[n - 1] = theta.data
         if not n:
             break

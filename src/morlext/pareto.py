@@ -47,9 +47,11 @@ class FrontPoint:
 
     def __post_init__(self) -> None:
         self.returns = np.asarray(self.returns, dtype=np.float64)
+        if self.returns.ndim != 1 or not self.returns.size:
+            raise ValueError("front point returns are not a non-empty vector")
         # The same test as np.isfinite(...).all(), at a fifth of the cost on
         # a few objectives; tables build one point per row.
-        if not all(map(math.isfinite, self.returns.ravel().tolist())):
+        if not all(map(math.isfinite, self.returns.tolist())):
             raise ValueError("front point has non-finite returns")
 
 

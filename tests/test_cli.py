@@ -442,6 +442,7 @@ INVALID_FIELDS = [
     ("lle", "alpha_end", "inf"), ("lle", "delta_alpha", "nan"), ("ppo", "max_grad_norm", "nan"),
     ("ppo", "clip", "nan"), ("ppo", "value_coeff", "inf"), ("lle", "k", "six"),
     ("ppo", "max_grad_norm", "0"), ("ppo", "value_coeff", "-0.5"),
+    ("ppo", "minibatches", "24"), ("ppo", "steps_per_batch", "100"),
 ]
 
 

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import warnings
 
@@ -238,6 +239,31 @@ def test_evaluate_holds_one_chunk_of_formed_vectors():
         tracemalloc.stop()
     assert len(returns) == n
     assert peak < 1.5 * EVAL_CHUNK * base.data.nbytes
+
+
+def test_evaluate_under_a_trace_hook_matches_untraced():
+    # A tracer (pdb, coverage, cProfile) holds the frame's locals, and with
+    # them a second reference to the stack that the first chunk grows.
+    env = DualGoal()
+    base = init_actor_critic(env, seed=84, hidden=(4, 4))
+    noise = np.random.default_rng(85).standard_normal(base.data.shape)
+    n = 2 * EVAL_CHUNK + 1
+
+    def formed():
+        return (ParameterVector(base.data + (0.01 * k) * noise, base.layout) for k in range(n))
+
+    def tracer(frame, event, arg):
+        return tracer if frame.f_code is _evaluate.__code__ else None
+
+    untraced = _evaluate(formed(), env, 1, 3, BudgetLedger())
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        traced = _evaluate(formed(), env, 1, 3, BudgetLedger())
+    finally:
+        sys.settrace(previous)
+    assert untraced.shape == (n, env.spec.d)
+    assert np.array_equal(traced, untraced)
 
 
 def test_extend_consumes_no_training_steps(small_run):

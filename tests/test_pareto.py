@@ -415,7 +415,12 @@ def test_front_table_rejects_garbage(tmp_path):
     [[1.0, np.nan], [np.inf, 0.0], [-np.inf], [[1.0], [np.nan]], np.nan, [1e308, 1e308], [], [[2.0], [3.0]], 4.0],
 )
 def test_front_point_rejects_exactly_what_isfinite_rejects(returns):
-    if np.isfinite(np.asarray(returns, dtype=np.float64)).all():
+    # Returns that are not a non-empty vector are refused before their values are read.
+    values = np.asarray(returns, dtype=np.float64)
+    if values.ndim != 1 or not values.size:
+        with pytest.raises(ValueError, match="not a non-empty vector"):
+            FrontPoint(returns, 0)
+    elif np.isfinite(values).all():
         FrontPoint(returns, 0)
     else:
         with pytest.raises(ValueError, match="non-finite"):
