@@ -393,9 +393,11 @@ def cmd_front_export(args) -> int:
         values = rec.meta.get("final_returns") or rec.meta.get("returns")
         if values is None:
             raise ConfigError(f"{args.policies}: record without return metadata")
-        points.append(
-            FrontPoint(values, rec.meta.get("policy_id", len(points)), rec.meta.get("stage", ""))
-        )
+        # The filter breaks ties between equal returns by comparing ids.
+        policy_id = rec.meta.get("policy_id", len(points))
+        if type(policy_id) is not int:
+            raise ConfigError(f"{args.policies}: record {len(points)}: policy_id {policy_id!r} is not an integer")
+        points.append(FrontPoint(values, policy_id, rec.meta.get("stage", "")))
     archive = non_dominated_filter(points)
     save_front_table(args.output, archive)
     print(f"{len(archive)} non-dominated rows -> {args.output}")

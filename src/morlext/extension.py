@@ -4,13 +4,13 @@ parameter-space extension.
 1. Train K base policies under evenly spread preference weights.
 2. For each base, briefly retrain under one shifted weight and record
    the parameter and weight differences as its local direction.
-3. Generate candidates training-free on a grid of direction
+3. Enumerate candidates training-free on a grid of direction
    coefficients: theta = base + alpha * dtheta, each with a matched
    weight w = w_base + alpha * dw. A candidate stores no theta: it is
    its base's direction set and its coefficient alpha, and theta is
    formed where it is used (one evaluation chunk, one fine-tuning job,
    one archive record at a time).
-4. Evaluate candidates and keep the pooled non-dominated subset.
+4. Roll out each grid and keep the pooled non-dominated subset.
 5. Fine-tune briefly, under its matched weight, each survivor the budget
    gives at least one batch; the final archive is the non-dominated
    filter over survivors, fine-tuned policies, and the bases themselves.
@@ -27,9 +27,9 @@ and grid, a retrain's grid, a fine-tune's output), and the run fails
 only when fewer than two bases train. The runner trains all of a
 stage's runs as one lockstep stack, whatever their budgets. Evaluation
 is a pure function of (theta, episodes, seed), so identical policies
-get identical returns without a cache, and each (theta, episodes, seed)
-is rolled out once: a grid's alpha = 0 and alpha = 1 copies take the
-returns of the base and the retrained policy they copy.
+get identical returns without a cache. `run_pipeline` rolls out each
+policy once per grade, by `_policy_key`: a grid's alpha = 0 and alpha = 1
+copies take the returns of the base and the retrained policy they copy.
 """
 
 from __future__ import annotations
@@ -264,12 +264,22 @@ def _evaluate(
     return returns
 
 
-def _evaluate_into(
-    candidates: list[CandidatePolicy], env: VectorRewardEnv, episodes: int, seed: int, ledger: BudgetLedger
-) -> None:
-    """Set each candidate's returns from one batched evaluation."""
-    for cand, r in zip(candidates, _evaluate((c.theta for c in candidates), env, episodes, seed, ledger)):
-        cand.returns = r
+def _policy_key(c: CandidatePolicy) -> tuple[int, float] | int:
+    """The policy a candidate is, whatever its id: (base, alpha) for an
+    extended one, base + alpha * direction, so a base and its grid's
+    alpha = 0 copy share a key; the id for a fine-tuned one."""
+    return (c.base_index, c.alpha) if c.stage == "extended" else c.policy_id
+
+
+def _graded_returns(
+    policies: list[CandidatePolicy], table: dict, env: VectorRewardEnv, episodes: int, seed: int, ledger: BudgetLedger
+) -> list[np.ndarray]:
+    """Each policy's returns at one evaluation grade, in order, from
+    `table`, that grade's returns by `_policy_key`; each key missing from
+    it is rolled out once, in one `_evaluate` call, and added to it."""
+    missing = {_policy_key(c): c for c in policies if _policy_key(c) not in table}
+    table.update(zip(missing, _evaluate((c.theta for c in missing.values()), env, episodes, seed, ledger)))
+    return [table[_policy_key(c)] for c in policies]
 
 
 @dataclass(frozen=True)
@@ -376,22 +386,13 @@ def directional_retrain(
     return directions
 
 
-def extend(
-    dirs: DirectionSet,
-    cfg: LleConfig,
-    env: VectorRewardEnv,
-    id_start: int,
-    eval_seed: int,
-    ledger: BudgetLedger,
-    base_returns: np.ndarray | None = None,
-) -> list[CandidatePolicy]:
-    """Enumerate and evaluate the full coefficient grid for one base.
+def extend(dirs: DirectionSet, cfg: LleConfig, id_start: int) -> list[CandidatePolicy]:
+    """Enumerate one base's coefficient grid, ids counting up from `id_start`.
 
-    No training happens here, and no candidate stores a theta: each holds
-    `dirs` and its coefficient (see `DirectionSet.theta_at`), and its
-    theta is formed inside its evaluation chunk. `base_returns`, the
-    base's returns at this grade, are given to the alpha = 0 copy instead
-    of rolling it out again.
+    Nothing is trained or rolled out here, and no candidate stores a
+    theta: each holds `dirs` and its coefficient (see
+    `DirectionSet.theta_at`), and has no returns until `run_pipeline`
+    rolls its grid out.
     """
     candidates = []
     # tolist() gives Python floats, whose repr the run directory records.
@@ -406,10 +407,7 @@ def extend(
             policy_id=id_start + offset,
             direction=dirs,
         )
-        if cand.is_base:
-            cand.returns = base_returns
         candidates.append(cand)
-    _evaluate_into([c for c in candidates if c.returns is None], env, cfg.eval_episodes, eval_seed, ledger)
     return candidates
 
 
@@ -434,17 +432,16 @@ def fine_tune(
     ppo_cfg: PpoConfig,
     budgets: list[int],
     id_start: int,
-    eval_seed: int,
     ledger: BudgetLedger,
     log_dir: Path | None = None,
 ) -> list[CandidatePolicy]:
     """Brief preference-aligned training of each selected candidate.
 
-    Inputs are never mutated; each output carries stage "fine_tuned",
-    fresh returns, and the next id from `id_start`. Only candidates with a
-    budget of at least one batch are trained: one with less would take no
-    step and only copy its input, so it gets no output, log or ledger
-    steps. A candidate whose run diverges gets no output either, and its
+    Inputs are never mutated; each output carries stage "fine_tuned" and
+    the next id from `id_start`, and no returns until `run_pipeline` rolls
+    it out. Only candidates with a budget of at least one batch are
+    trained: one with less would take no step and only copy its input, so
+    it gets no output, log or ledger steps. A candidate whose run diverges gets no output either, and its
     steps are not charged; the other candidates are unaffected.
     """
     if len(budgets) != len(selected):
@@ -471,7 +468,6 @@ def fine_tune(
                 trained=theta,
             )
         )
-    _evaluate_into(out, env, cfg.eval_episodes, eval_seed, ledger)
     return out
 
 
@@ -579,17 +575,20 @@ def run_pipeline(
     directions = directional_retrain(
         bases, env, cfg, ppo_cfg, [dir_budgets[b.base_index] for b in bases], ledger, log_dir
     )
-    _evaluate_into(bases, env, cfg.eval_episodes, select_seed, ledger)
-    base_by_index = {b.base_index: b for b in bases}
 
-    # Stage 3: training-free extension.
+    # Stage 3: training-free extension, then the selection-grade rollouts:
+    # the bases, then one pass per grid (whose alpha = 0 copy takes its
+    # base's returns).
     trained_before = ledger.train_all_steps
-    candidates = []
-    next_id = cfg.K
+    grids, candidates = [], []
     for dirs in directions:
-        cands = extend(dirs, cfg, env, next_id, select_seed, ledger, base_by_index[dirs.base_index].returns)
-        next_id += len(cands)
-        candidates.extend(cands)
+        grids.append(extend(dirs, cfg, cfg.K + len(candidates)))
+        candidates += grids[-1]
+    select_returns = {}
+    for group in [bases, *grids]:
+        returns = _graded_returns(group, select_returns, env, cfg.eval_episodes, select_seed, ledger)
+        for c, r in zip(group, returns):
+            c.returns = r
 
     # Stage 4: pooled selection.
     selected = select_candidates(candidates)
@@ -597,38 +596,30 @@ def run_pipeline(
 
     # Stage 5: preference-aligned fine-tuning.
     ft_budgets = _even_batch_split(total_budget // 5, len(selected), batch)
-    fine_tuned = fine_tune(selected, env, cfg, ppo_cfg, ft_budgets, next_id, select_seed, ledger, log_dir)
+    fine_tuned = fine_tune(selected, env, cfg, ppo_cfg, ft_budgets, cfg.K + len(candidates), ledger, log_dir)
+    returns = _graded_returns(fine_tuned, select_returns, env, cfg.eval_episodes, select_seed, ledger)
+    for c, r in zip(fine_tuned, returns):
+        c.returns = r
 
-    # Final-grade values of everything entering the archive pool, one
-    # rollout per distinct policy: an extended candidate is its base plus
-    # alpha times its direction, and stage 2 already rolled out each base
-    # (alpha = 0) and its retrained policy (alpha = 1) at this grade.
+    # Final-grade values of everything entering the archive pool; stage 2
+    # already rolled out each base (alpha = 0) and its retrained policy
+    # (alpha = 1) at this grade.
     pool = bases + selected + fine_tuned
-
-    def policy_key(c: CandidatePolicy):
-        return (c.base_index, c.alpha) if c.stage == "extended" else c.policy_id
-
     final_returns = {}
     for dirs in directions:
         final_returns[dirs.base_index, 0.0] = dirs.base_returns
         final_returns[dirs.base_index, 1.0] = dirs.retrained_returns
-    rollouts = {policy_key(c): c for c in pool if policy_key(c) not in final_returns}
-    final_returns.update(zip(rollouts, _evaluate(
-        (c.theta for c in rollouts.values()), env, cfg.final_eval_episodes, final_seed, ledger
-    )))
-    final_values = {c.policy_id: final_returns[policy_key(c)] for c in pool}
+    final_values = dict(zip(
+        (c.policy_id for c in pool),
+        _graded_returns(pool, final_returns, env, cfg.final_eval_episodes, final_seed, ledger),
+    ))
 
-    base_archive = non_dominated_filter(
-        [FrontPoint(final_values[c.policy_id], c.policy_id, c.stage) for c in bases]
-    )
-    selection_archive = non_dominated_filter(
-        [FrontPoint(final_values[c.policy_id], c.policy_id, c.stage) for c in bases + selected]
-    )
-    archive = non_dominated_filter(
-        [FrontPoint(final_values[c.policy_id], c.policy_id, c.stage) for c in pool]
+    base_archive, selection_archive, archive = (
+        non_dominated_filter([FrontPoint(final_values[c.policy_id], c.policy_id, c.stage) for c in group])
+        for group in (bases, bases + selected, pool)
     )
 
-    all_returns = [final_values[pid] for pid in final_values]
+    all_returns = list(final_values.values())
     all_returns.extend(c.returns for c in bases + candidates + fine_tuned)
     all_returns.extend(dirs.retrained_returns for dirs in directions)
     ref_point = default_reference_point(all_returns)

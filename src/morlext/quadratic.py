@@ -66,11 +66,13 @@ class QuadraticObjectiveFamily:
         return out
 
     def scalarized_optimum(self, weight: np.ndarray) -> np.ndarray:
-        """Exact maximizer of w . V, the converged-training stand-in."""
+        """Exact maximizer of w . V, the converged-training stand-in: an
+        (n,) vector for a (d,) weight, or one row per row of a (k, d)
+        weight matrix."""
         weight = np.asarray(weight, dtype=np.float64)
-        lhs = np.einsum("i,ijk->jk", weight, self.curvatures)
-        rhs = np.einsum("i,ijk,ik->j", weight, self.curvatures, self.centers)
-        return np.linalg.solve(lhs, rhs)
+        lhs = np.einsum("...i,ijk->...jk", weight, self.curvatures)
+        rhs = np.einsum("...i,ijk,ik->...j", weight, self.curvatures, self.centers)
+        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
 
     def scalarized_gradient(self, weight: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """Gradient of w . V at theta."""
@@ -91,9 +93,7 @@ def pareto_path(fam: QuadraticObjectiveFamily, n_points: int = 100_001) -> tuple
     if fam.d != 2:
         raise ValueError("analytic Pareto path implemented for d = 2")
     us = np.linspace(0.0, 1.0, n_points)
-    thetas = np.empty((n_points, fam.n))
-    for j, u in enumerate(us):
-        thetas[j] = fam.scalarized_optimum(np.array([1.0 - u, u]))
+    thetas = fam.scalarized_optimum(np.stack([1.0 - us, us], axis=1))
     return thetas, fam.values(thetas)
 
 

@@ -261,6 +261,11 @@ MALFORMED = {
     "shape_not_a_list": lambda record: {**record, "layout": [[key, "a"] for key, _ in record["layout"]]},
     "scalar_returns": lambda record: {**record, "meta": {**record["meta"], "returns": 5}},
     "empty_returns": lambda record: {**record, "meta": {**record["meta"], "returns": []}},
+    "string_policy_id": lambda record: {**record, "meta": {**record["meta"], "policy_id": "a"}},
+    "dict_policy_id": lambda record: {**record, "meta": {**record["meta"], "policy_id": {}}},
+    "null_policy_id": lambda record: {**record, "meta": {**record["meta"], "policy_id": None}},
+    "bool_policy_id": lambda record: {**record, "meta": {**record["meta"], "policy_id": True}},
+    "float_policy_id": lambda record: {**record, "meta": {**record["meta"], "policy_id": 1.0}},
 }
 
 
@@ -275,6 +280,11 @@ MALFORMED = {
     ("shape_not_a_list", "distance"),
     ("scalar_returns", "front-export"),
     ("empty_returns", "front-export"),
+    ("string_policy_id", "front-export"),
+    ("dict_policy_id", "front-export"),
+    ("null_policy_id", "front-export"),
+    ("bool_policy_id", "front-export"),
+    ("float_policy_id", "front-export"),
 ])
 def test_malformed_archive_record_is_usage_error(tmp_path, capsys, case, command):
     from morlext.envs import DualGoal
@@ -292,6 +302,25 @@ def test_malformed_archive_record_is_usage_error(tmp_path, capsys, case, command
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("id_a, id_b", [("a", 3), ({"k": 1}, {"k": 2}), (None, 2)])
+def test_front_export_rejects_tied_records_with_incomparable_ids(tmp_path, capsys, id_a, id_b):
+    # Equal returns make the filter compare the two ids.
+    from morlext.envs import DualGoal
+    from morlext.ppo import init_actor_critic
+
+    theta = init_actor_critic(DualGoal(), seed=0, hidden=(4, 4))
+    path = tmp_path / "policies.jsonl"
+    path.write_text("".join(
+        archive._encode(archive.ArchiveRecord(theta, {"policy_id": pid, "returns": [1.0, 2.0]})) + "\n"
+        for pid in (id_a, id_b)
+    ))
+    assert main(["front-export", str(path), "-o", str(tmp_path / "front.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "policy_id" in err
+    assert not (tmp_path / "front.csv").exists()
 
 
 def test_python_dash_m_morlext_runs_the_cli():

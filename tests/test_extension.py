@@ -15,6 +15,7 @@ from morlext.extension import (
     DirectionSet,
     LleConfig,
     _evaluate,
+    _graded_returns,
     _Job,
     _train_all,
     alpha_grid,
@@ -146,6 +147,14 @@ def small_run():
     return env, cfg, ppo_cfg, dirs, ledger
 
 
+def rolled_out(cands, env, episodes, seed, ledger):
+    """The candidates with their returns set, rolled out as `run_pipeline`
+    rolls out one grid."""
+    for c, r in zip(cands, _graded_returns(cands, {}, env, episodes, seed, ledger)):
+        c.returns = r
+    return cands
+
+
 def test_directional_retrain_counts(small_run):
     env, cfg, ppo_cfg, dirs, ledger = small_run
     assert dirs.m == env.spec.d - 1 == 1
@@ -169,7 +178,7 @@ def test_zero_budget_retrain_is_degenerate():
 
 def test_extend_identity_and_endpoint_bit_exact(small_run):
     env, cfg, ppo_cfg, dirs, ledger = small_run
-    cands = extend(dirs, cfg, env, 100, 7, ledger)
+    cands = extend(dirs, cfg, 100)
     grid = alpha_grid(cfg.alpha_start, cfg.alpha_end, cfg.delta_alpha)
     assert [c.alpha for c in cands] == list(grid)
     base, delta = dirs.base_theta.data, dirs.delta.data
@@ -194,12 +203,13 @@ def test_extended_candidates_store_no_theta(pipeline_result):
 
 
 def extend_peak_bytes(dirs, env, delta_alpha):
-    """Traced allocation peak of one `extend` call over [-1, 1]."""
+    """Traced allocation peak of one `extend` call over [-1, 1] and the
+    rollout of its grid."""
     cfg = tiny_cfg(delta_alpha=delta_alpha, eval_episodes=1)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        extend(dirs, cfg, env, 0, 3, BudgetLedger())
+        rolled_out(extend(dirs, cfg, 0), env, cfg.eval_episodes, 3, BudgetLedger())
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -266,18 +276,25 @@ def test_evaluate_under_a_trace_hook_matches_untraced():
     assert np.array_equal(traced, untraced)
 
 
-def test_extend_consumes_no_training_steps(small_run):
+def test_extend_makes_no_rollout_and_takes_no_step(small_run, monkeypatch):
     env, cfg, ppo_cfg, dirs, ledger = small_run
-    before_training = ledger.training_steps
-    before_eval = ledger.eval_steps
-    cands = extend(dirs, cfg, env, 500, 11, ledger)
-    assert ledger.training_steps == before_training
-    assert ledger.eval_steps - before_eval == len(cands) * cfg.eval_episodes * env.spec.horizon
+    before = ledger.as_dict()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("extend rolled out or trained a policy")
+
+    monkeypatch.setattr(extension, "_evaluate", forbidden)
+    monkeypatch.setattr(extension, "train", forbidden)
+    cands = extend(dirs, cfg, 500)
+    assert [c.alpha for c in cands] == alpha_grid(cfg.alpha_start, cfg.alpha_end, cfg.delta_alpha).tolist()
+    assert [c.policy_id for c in cands] == list(range(500, 500 + len(cands)))
+    assert all(c.returns is None for c in cands)
+    assert ledger.as_dict() == before
 
 
 def test_extend_matched_weights(small_run):
     env, cfg, ppo_cfg, dirs, ledger = small_run
-    cands = extend(dirs, cfg, env, 0, 3, ledger)
+    cands = extend(dirs, cfg, 0)
     for c in cands:
         raw = dirs.base_w + c.alpha * dirs.weight_delta
         assert np.allclose(c.raw_w, raw)
@@ -286,7 +303,7 @@ def test_extend_matched_weights(small_run):
 
 def test_select_candidates_matches_brute_force(small_run):
     env, cfg, ppo_cfg, dirs, ledger = small_run
-    cands = extend(dirs, cfg, env, 1000, 5, ledger)
+    cands = rolled_out(extend(dirs, cfg, 1000), env, cfg.eval_episodes, 5, ledger)
     selected = select_candidates(cands)
     selected_ids = {c.policy_id for c in selected}
     for c in cands:
@@ -308,17 +325,24 @@ def test_select_candidates_matches_brute_force(small_run):
 
 def test_select_single_candidate_is_itself(small_run):
     env, cfg, ppo_cfg, dirs, ledger = small_run
-    cands = extend(dirs, cfg, env, 0, 5, ledger)
+    cands = rolled_out(extend(dirs, cfg, 0), env, cfg.eval_episodes, 5, ledger)
     only = select_candidates([cands[0]])
     assert len(only) == 1 and only[0].policy_id == cands[0].policy_id
 
 
+def test_select_candidates_rejects_a_grid_never_rolled_out(small_run):
+    env, cfg, ppo_cfg, dirs, ledger = small_run
+    cands = extend(dirs, cfg, 300)
+    with pytest.raises(ValueError, match="candidate 300 has not been evaluated"):
+        select_candidates(cands)
+
+
 def test_fine_tune_sub_batch_budget_trains_nothing(small_run, tmp_path):
     env, cfg, ppo_cfg, dirs, ledger = small_run
-    cands = extend(dirs, cfg, env, 2000, 9, ledger)[:3]
+    cands = extend(dirs, cfg, 2000)[:3]
     before = ledger.finetune_steps
     tuned = fine_tune(
-        cands, env, cfg, ppo_cfg, [0, 0, ppo_cfg.steps_per_batch - 1], 3000, 9, ledger,
+        cands, env, cfg, ppo_cfg, [0, 0, ppo_cfg.steps_per_batch - 1], 3000, ledger,
         log_dir=tmp_path / "logs",
     )
     assert tuned == []
@@ -328,11 +352,11 @@ def test_fine_tune_sub_batch_budget_trains_nothing(small_run, tmp_path):
 
 def test_fine_tune_trains_under_matched_weight(small_run):
     env, cfg, ppo_cfg, dirs, ledger = small_run
-    cands = extend(dirs, cfg, env, 4000, 9, ledger)[:2]
+    cands = extend(dirs, cfg, 4000)[:2]
     before = ledger.finetune_steps
     tuned = fine_tune(
         cands, env, cfg, ppo_cfg,
-        [ppo_cfg.steps_per_batch, ppo_cfg.steps_per_batch], 5000, 9, ledger,
+        [ppo_cfg.steps_per_batch, ppo_cfg.steps_per_batch], 5000, ledger,
     )
     assert ledger.finetune_steps - before == 2 * ppo_cfg.steps_per_batch
     assert all(not np.array_equal(t.theta.data, c.theta.data) for t, c in zip(tuned, cands))
@@ -341,9 +365,9 @@ def test_fine_tune_trains_under_matched_weight(small_run):
 def test_fine_tuned_copy_of_base_is_not_a_base(small_run):
     env, cfg, ppo_cfg, dirs, _ = small_run
     ledger = BudgetLedger()
-    zero = [c for c in extend(dirs, cfg, env, 6000, 9, ledger) if c.is_base]
+    zero = [c for c in extend(dirs, cfg, 6000) if c.is_base]
     assert [c.alpha for c in zero] == [0.0]
-    (tuned,) = fine_tune(zero, env, cfg, ppo_cfg, [ppo_cfg.steps_per_batch], 7000, 9, ledger)
+    (tuned,) = fine_tune(zero, env, cfg, ppo_cfg, [ppo_cfg.steps_per_batch], 7000, ledger)
     assert tuned.alpha == 0.0 and tuned.stage == "fine_tuned"
     assert not tuned.is_base
 
@@ -513,16 +537,24 @@ def test_ledger_charges_training_during_extension(monkeypatch):
     # Steps `_train_all` takes while `extend` runs reach the ledger, and
     # with it metrics.json, as extension_training_steps.
     real_extend = extension.extend
+    real_train_all = extension._train_all
     ppo_cfg = tiny_ppo()
     steps = 2 * ppo_cfg.steps_per_batch
     extra = []
+    run = {}
 
-    def training_extend(dirs, cfg, env, id_start, eval_seed, ledger, base_returns=None):
+    def recording_train_all(jobs, env, ppo_cfg, log_dir, ledger):
+        run.update(env=env, ledger=ledger)
+        return real_train_all(jobs, env, ppo_cfg, log_dir, ledger)
+
+    def training_extend(dirs, cfg, id_start):
         if not extra:
+            env = run["env"]
             job = _Job(init_actor_critic(env, seed=90, hidden=(8, 8)), np.array([0.5, 0.5]), steps, 91, "extra")
-            extra.append(_train_all([job], env, ppo_cfg, None, ledger)[1])
-        return real_extend(dirs, cfg, env, id_start, eval_seed, ledger, base_returns)
+            extra.append(real_train_all([job], env, ppo_cfg, None, run["ledger"])[1])
+        return real_extend(dirs, cfg, id_start)
 
+    monkeypatch.setattr(extension, "_train_all", recording_train_all)
     monkeypatch.setattr(extension, "extend", training_extend)
     result = run_pipeline(DualGoal(), tiny_cfg(K=2), ppo_cfg, total_budget=2000)
     ledger = result.ledger
