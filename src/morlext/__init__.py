@@ -22,7 +22,7 @@ from .pareto import (
     non_dominated_filter,
     sparsity,
 )
-from .policy import MlpSpec, ParameterVector, evaluate_returns, unflatten
+from .policy import ParameterVector, evaluate_returns, unflatten
 from .ppo import PpoConfig, RolloutBuffer, compute_gae, ppo_update, train
 from .distance import Matching, hungarian_distance, hungarian_solve
 from .quadratic import ErrorCurve, QuadraticObjectiveFamily, lle_error_curve
@@ -38,7 +38,6 @@ __all__ = [
     "FrontPoint",
     "LleConfig",
     "Matching",
-    "MlpSpec",
     "ParameterVector",
     "ParetoArchive",
     "PipelineResult",

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import base64
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Container, Iterable
 
 import numpy as np
 
-from .policy import ParameterVector, ParamLayout
+from .policy import ParameterVector, ParamLayout, policy_layout
 
 FORMAT_TAG = "morlext-policy-archive-v1"
 
@@ -81,13 +82,30 @@ def _decode(obj: Any, with_theta: bool) -> ArchiveRecord:
     if not with_theta:
         return ArchiveRecord(theta=None, meta=meta)
     try:
-        layout = ParamLayout(tuple((key, tuple(shape)) for key, shape in obj["layout"]))
+        layout = _actor_critic_layout(tuple((key, tuple(shape)) for key, shape in obj["layout"]))
         raw = base64.b64decode(obj["data"])
         data = np.frombuffer(raw, dtype="<f8").astype(np.float64)
         theta = ParameterVector(data, layout)
     except (KeyError, TypeError) as err:
         raise ValueError(f"policy archive record with a missing or malformed layout or data: {err}") from None
     return ArchiveRecord(theta=theta, meta=meta)
+
+
+def _actor_critic_layout(entries: tuple) -> ParamLayout:
+    """The layout that `entries` read from a record describe, accepted only
+    if it is the `policy_layout` of its own weight shapes, whose sizes
+    must be integers."""
+    try:
+        sizes = []
+        for net in ("actor", "critic"):
+            shapes = [shape for key, shape in entries if key.startswith(f"{net}.W")]
+            sizes.append(tuple(map(operator.index, (shapes[0][0], *(shape[1] for shape in shapes)))))
+        layout = policy_layout(*sizes)
+    except (IndexError, TypeError, ValueError):
+        layout = None
+    if layout is None or layout.entries != entries:
+        raise ValueError("policy archive record's layout is not an actor-critic layout")
+    return layout
 
 
 def save_archive(path: str | Path, records: Iterable[ArchiveRecord]) -> None:

@@ -84,12 +84,12 @@ def _number(key: str, text: str | int, kind: type) -> int | float:
     return value
 
 
-def _parse_section(parser: configparser.ConfigParser, section: str, cls: type) -> dict:
+def _parse_section(sections: dict[str, dict[str, str]], section: str, cls: type) -> dict:
     """Keyword arguments for `cls` from one INI section, each value converted
     to the type of its field's default."""
     known = _section_fields(cls)
     kwargs = {}
-    for key, text in (parser[section] if parser.has_section(section) else {}).items():
+    for key, text in sections.get(section, {}).items():
         if key not in known:
             raise ConfigError(f"unknown [{section}] key: {key}")
         field = known[key]
@@ -98,21 +98,32 @@ def _parse_section(parser: configparser.ConfigParser, section: str, cls: type) -
 
 
 def load_run_config(path: str | Path) -> dict:
-    """Parse an INI run config, applying defaults for anything omitted."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    """Parse an INI run config, applying defaults for anything omitted. A
+    file that does not parse, or that has a section other than [run], [lle]
+    and [ppo] (names are case-sensitive), is a ConfigError."""
+    # No header can name the empty section, so [DEFAULT] is an ordinary
+    # section, and an unknown one, rather than defaults for every section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    try:
+        read = parser.read(path)
+    except configparser.Error as err:
+        # Some of these messages span lines; the CLI prints one.
+        raise ConfigError(" ".join(str(err).split())) from None
     if not read:
         raise ConfigError(f"config file {path} not found or unreadable")
+    sections = {name: dict(parser[name]) for name in parser.sections()}
+    if unknown := set(sections) - {"run", "lle", "ppo"}:
+        raise ConfigError(f"unknown config sections: {sorted(unknown)}; known: [run], [lle], [ppo]")
 
-    run = dict(parser["run"]) if parser.has_section("run") else {}
+    run = sections.get("run", {})
     known_run = {"env", "seed", "total_budget", "output_dir"}
     if unknown := set(run) - known_run:
         raise ConfigError(f"unknown [run] keys: {sorted(unknown)}")
 
     seed = _number("seed", run.get("seed", 0), int)
     try:
-        lle_cfg = LleConfig(seed=seed, **_parse_section(parser, "lle", LleConfig))
-        ppo_cfg = PpoConfig(**_parse_section(parser, "ppo", PpoConfig))
+        lle_cfg = LleConfig(seed=seed, **_parse_section(sections, "lle", LleConfig))
+        ppo_cfg = PpoConfig(**_parse_section(sections, "ppo", PpoConfig))
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
@@ -128,7 +139,7 @@ def load_run_config(path: str | Path) -> dict:
 
 def write_config_snapshot(path: Path, config: dict) -> None:
     """Persist the fully resolved configuration; replaying it reproduces the run."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser["run"] = {
         "env": config["env"],
         "seed": str(config["seed"]),

@@ -15,8 +15,10 @@ objectives are built in:
 
 Both are fixed-horizon (no early termination), deterministic given the
 reset seed, and cheap enough to roll out millions of steps in seconds.
-Dynamics for both: v' = v + (a - friction * v) * dt, p' = p + v' * dt,
-with actions clipped to [-1, 1] per component.
+Dynamics for both: v' = v + (a - FRICTION * v) * DT, p' = p + v' * DT,
+with actions clipped to [-1, 1] per component, DT = 0.05 and
+FRICTION = 0.1; `DualGoal`'s control cost coefficient is
+CONTROL_COST = 0.05.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 SIMPLEX_ATOL = 1e-9
+
+DT = 0.05
+FRICTION = 0.1
+CONTROL_COST = 0.05
 
 
 @dataclass(frozen=True)
@@ -37,15 +43,10 @@ class EnvSpec:
     act_dim: int
     d: int
     horizon: int = 100
-    dt: float = 0.05
-    control_cost_coeff: float = 0.05
-    friction: float = 0.1
 
     def __post_init__(self) -> None:
         if min(self.obs_dim, self.act_dim, self.d, self.horizon) < 1:
             raise ValueError("obs_dim, act_dim, d and horizon must all be >= 1")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
 
 
 def check_weight(weights: np.ndarray, d: int) -> np.ndarray:
@@ -96,25 +97,8 @@ class DualGoal(VectorRewardEnv):
     north conflict through the shared control budget.
     """
 
-    def __init__(
-        self,
-        horizon: int = 100,
-        dt: float = 0.05,
-        control_cost_coeff: float = 0.05,
-        friction: float = 0.1,
-    ):
-        super().__init__(
-            EnvSpec(
-                name="dual_goal",
-                obs_dim=4,
-                act_dim=2,
-                d=2,
-                horizon=horizon,
-                dt=dt,
-                control_cost_coeff=control_cost_coeff,
-                friction=friction,
-            )
-        )
+    def __init__(self):
+        super().__init__(EnvSpec(name="dual_goal", obs_dim=4, act_dim=2, d=2))
 
     def _initial_obs(self, n: int, rng: np.random.Generator) -> np.ndarray:
         obs = np.zeros((n, 4))
@@ -122,11 +106,10 @@ class DualGoal(VectorRewardEnv):
         return obs
 
     def _advance(self, obs: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        spec = self.spec
         pos, vel = obs[:, :2], obs[:, 2:]
-        new_vel = vel + (actions - spec.friction * vel) * spec.dt
-        new_pos = pos + new_vel * spec.dt
-        cost = spec.control_cost_coeff * np.sum(actions**2, axis=1)
+        new_vel = vel + (actions - FRICTION * vel) * DT
+        new_pos = pos + new_vel * DT
+        cost = CONTROL_COST * np.sum(actions**2, axis=1)
         rewards = np.stack([new_vel[:, 0] - cost, new_vel[:, 1] - cost], axis=1)
         return np.concatenate([new_pos, new_vel], axis=1), rewards
 
@@ -137,19 +120,8 @@ class SpeedEnergy(VectorRewardEnv):
     R1 = v' (forward velocity), R2 = -sum_j a_j^2 (energy efficiency).
     """
 
-    def __init__(self, horizon: int = 100, dt: float = 0.05, friction: float = 0.1):
-        super().__init__(
-            EnvSpec(
-                name="speed_energy",
-                obs_dim=2,
-                act_dim=1,
-                d=2,
-                horizon=horizon,
-                dt=dt,
-                control_cost_coeff=0.0,
-                friction=friction,
-            )
-        )
+    def __init__(self):
+        super().__init__(EnvSpec(name="speed_energy", obs_dim=2, act_dim=1, d=2))
 
     def _initial_obs(self, n: int, rng: np.random.Generator) -> np.ndarray:
         obs = np.zeros((n, 2))
@@ -157,10 +129,9 @@ class SpeedEnergy(VectorRewardEnv):
         return obs
 
     def _advance(self, obs: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        spec = self.spec
         pos, vel = obs[:, 0], obs[:, 1]
-        new_vel = vel + (actions[:, 0] - spec.friction * vel) * spec.dt
-        new_pos = pos + new_vel * spec.dt
+        new_vel = vel + (actions[:, 0] - FRICTION * vel) * DT
+        new_pos = pos + new_vel * DT
         rewards = np.stack([new_vel, -np.sum(actions**2, axis=1)], axis=1)
         return np.stack([new_pos, new_vel], axis=1), rewards
 

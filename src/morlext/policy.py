@@ -23,25 +23,9 @@ from .envs import VectorRewardEnv
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-@dataclass(frozen=True)
-class MlpSpec:
-    """Fully-connected tanh network shape: (input, hidden..., output)."""
-
-    layer_sizes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.layer_sizes) < 3:
-            raise ValueError("need at least one hidden layer")
-        if any(s < 1 for s in self.layer_sizes):
-            raise ValueError("all layer sizes must be >= 1")
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_sizes) - 1
-
-
 class Mlp:
-    """Weights and biases for an MlpSpec; tanh hidden layers, linear output.
+    """A fully-connected network, one weight and bias per layer; tanh
+    hidden layers, linear output.
 
     Weights may carry leading axes, (..., in, out) with biases (..., out):
     a stack of C networks is then one object whose passes take inputs
@@ -49,14 +33,13 @@ class Mlp:
     network, so every slice rounds like the network alone.
     """
 
-    def __init__(self, spec: MlpSpec, weights: list[np.ndarray], biases: list[np.ndarray]):
-        self.spec = spec
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
         self.weights = weights
         self.biases = biases
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = x
-        for i in range(self.spec.n_layers - 1):
+        for i in range(len(self.weights) - 1):
             h = np.tanh(h @ self.weights[i] + self.biases[i][..., None, :])
         return h @ self.weights[-1] + self.biases[-1][..., None, :]
 
@@ -64,7 +47,7 @@ class Mlp:
         """Forward pass keeping post-activation values for backprop."""
         acts = [x]
         h = x
-        for i in range(self.spec.n_layers - 1):
+        for i in range(len(self.weights) - 1):
             h = np.tanh(h @ self.weights[i] + self.biases[i][..., None, :])
             acts.append(h)
         return h @ self.weights[-1] + self.biases[-1][..., None, :], acts
@@ -83,7 +66,7 @@ class Mlp:
         vector, see `unflatten`).
         """
         delta = grad_out
-        for i in range(self.spec.n_layers - 1, -1, -1):
+        for i in range(len(self.weights) - 1, -1, -1):
             np.matmul(np.swapaxes(acts[i], -1, -2), delta, out=grad_w[i])
             delta.sum(axis=-2, out=grad_b[i])
             if i > 0:
@@ -97,10 +80,13 @@ class Mlp:
 
 @dataclass(frozen=True)
 class ParamLayout:
-    """Ordered (key, shape) blocks defining the flat form of an actor-critic.
+    """Ordered (key, shape) blocks defining the flat form of an actor-critic,
+    and the only description of its networks: `policy_layout` makes one
+    from layer sizes, and `unflatten` reads each net's `W{i}`/`b{i}`
+    blocks from it.
 
-    Sizes, offsets and specs are computed once per layout object: block
-    lookups sit on the training hot path.
+    Sizes and offsets are computed once per layout object: block lookups
+    sit on the training hot path.
     """
 
     entries: tuple[tuple[str, tuple[int, ...]], ...]
@@ -121,18 +107,6 @@ class ParamLayout:
 
     def offsets(self) -> dict[str, tuple[int, int, tuple[int, ...]]]:
         return self._offsets
-
-    @cached_property
-    def specs(self) -> tuple[MlpSpec, MlpSpec]:
-        """(actor_spec, critic_spec) of the networks."""
-        sizes: dict[str, list[int]] = {"actor": [], "critic": []}
-        for key, shape in self.entries:
-            net, _, block = key.partition(".")
-            if block.startswith("W"):
-                if not sizes[net]:
-                    sizes[net].append(shape[0])
-                sizes[net].append(shape[1])
-        return MlpSpec(tuple(sizes["actor"])), MlpSpec(tuple(sizes["critic"]))
 
 
 @dataclass
@@ -162,20 +136,26 @@ class ParameterVector:
         return self.data[..., start:end].reshape(self.data.shape[:-1] + shape)
 
 
-def _mlp_entries(prefix: str, spec: MlpSpec) -> list[tuple[str, tuple[int, ...]]]:
+def _mlp_entries(prefix: str, sizes: tuple[int, ...]) -> list[tuple[str, tuple[int, ...]]]:
     entries = []
-    sizes = spec.layer_sizes
-    for i in range(spec.n_layers):
+    for i in range(len(sizes) - 1):
         entries.append((f"{prefix}.W{i}", (sizes[i], sizes[i + 1])))
         entries.append((f"{prefix}.b{i}", (sizes[i + 1],)))
     return entries
 
 
 @lru_cache(maxsize=None)
-def policy_layout(actor_spec: MlpSpec, critic_spec: MlpSpec) -> ParamLayout:
-    entries = _mlp_entries("actor", actor_spec)
-    entries.append(("actor.log_std", (actor_spec.layer_sizes[-1],)))
-    entries.extend(_mlp_entries("critic", critic_spec))
+def policy_layout(actor_sizes: tuple[int, ...], critic_sizes: tuple[int, ...]) -> ParamLayout:
+    """The layout of an actor-critic whose tanh networks have these layer
+    sizes, (input, hidden..., output) each."""
+    for sizes in (actor_sizes, critic_sizes):
+        if len(sizes) < 3:
+            raise ValueError("need at least one hidden layer")
+        if any(s < 1 for s in sizes):
+            raise ValueError("all layer sizes must be >= 1")
+    entries = _mlp_entries("actor", actor_sizes)
+    entries.append(("actor.log_std", (actor_sizes[-1],)))
+    entries.extend(_mlp_entries("critic", critic_sizes))
     return ParamLayout(tuple(entries))
 
 
@@ -194,13 +174,11 @@ def unflatten(theta: ParameterVector) -> Networks:
     update of it. A (C, P) stack gives stacked networks, with (C, in, out)
     weights, (C, out) biases and (C, act_dim) log stds."""
 
-    def mlp(prefix: str, spec: MlpSpec) -> Mlp:
-        layers = range(spec.n_layers)
-        return Mlp(spec, [theta.block(f"{prefix}.W{i}") for i in layers],
-                   [theta.block(f"{prefix}.b{i}") for i in layers])
+    def mlp(prefix: str) -> Mlp:
+        layers = range(sum(key.startswith(f"{prefix}.W") for key, _ in theta.layout.entries))
+        return Mlp([theta.block(f"{prefix}.W{i}") for i in layers], [theta.block(f"{prefix}.b{i}") for i in layers])
 
-    actor_spec, critic_spec = theta.layout.specs
-    return Networks(mlp("actor", actor_spec), theta.block("actor.log_std"), mlp("critic", critic_spec))
+    return Networks(mlp("actor"), theta.block("actor.log_std"), mlp("critic"))
 
 
 # ---------------------------------------------------------------------------

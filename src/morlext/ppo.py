@@ -45,7 +45,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .envs import VectorRewardEnv, check_weight
-from .policy import MlpSpec, ParameterVector, gaussian_log_prob, policy_layout, unflatten
+from .policy import ParameterVector, gaussian_log_prob, policy_layout, unflatten
 
 # OpenBLAS runs a matrix product on a second thread once m*n*k exceeds
 # this; the woken thread then busy-waits through the single-threaded work
@@ -506,7 +506,7 @@ def init_actor_critic(env: VectorRewardEnv, seed: int, hidden: tuple[int, ...] =
     untrained mean actions sit near zero. Biases and log stds are zero.
     """
     sizes = (env.spec.obs_dim, *hidden)
-    layout = policy_layout(MlpSpec((*sizes, env.spec.act_dim)), MlpSpec((*sizes, 1)))
+    layout = policy_layout((*sizes, env.spec.act_dim), (*sizes, 1))
     theta = ParameterVector(np.zeros(layout.size), layout)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     nets = unflatten(theta)

@@ -266,6 +266,12 @@ MALFORMED = {
     "null_policy_id": lambda record: {**record, "meta": {**record["meta"], "policy_id": None}},
     "bool_policy_id": lambda record: {**record, "meta": {**record["meta"], "policy_id": True}},
     "float_policy_id": lambda record: {**record, "meta": {**record["meta"], "policy_id": 1.0}},
+    "foreign_net_key": lambda record: {**record, "layout": [
+        ["x.W0" if key == "actor.W0" else key, shape] for key, shape in record["layout"]]},
+    "flat_weight_block": lambda record: {**record, "layout": [
+        [key, [shape[0] * shape[1]] if key == "actor.W0" else shape] for key, shape in record["layout"]]},
+    "no_log_std": lambda record: {**record, "layout": [
+        ["actor.std" if key == "actor.log_std" else key, shape] for key, shape in record["layout"]]},
 }
 
 
@@ -285,6 +291,9 @@ MALFORMED = {
     ("null_policy_id", "front-export"),
     ("bool_policy_id", "front-export"),
     ("float_policy_id", "front-export"),
+    ("foreign_net_key", "distance"),
+    ("flat_weight_block", "distance"),
+    ("no_log_std", "distance"),
 ])
 def test_malformed_archive_record_is_usage_error(tmp_path, capsys, case, command):
     from morlext.envs import DualGoal
@@ -379,6 +388,46 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         assert main(["run", "--config", str(config)]) == 1, key
         assert key in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("section", ["LLE", "PPO", "Run", "extra", "DEFAULT"])
+def test_unknown_config_section_rejected(tmp_path, capsys, section):
+    # Section names are case-sensitive: [LLE] k = 3 used to load as K = 6.
+    # [DEFAULT] k = 3 was ignored too, unless an [lle] section took it.
+    config = tmp_path / "c.ini"
+    config.write_text(f"[run]\nenv = dual_goal\noutput_dir = {tmp_path / 'x'}\n[{section}]\nk = 3\n")
+    assert main(["run", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"'{section}'" in err
+    assert not (tmp_path / "x").exists()
+
+
+UNPARSABLE_CONFIGS = {
+    "no_section_header": "k = 3\n",
+    "duplicate_key": "[run]\nseed = 1\nseed = 2\n",
+    "duplicate_section": "[run]\nenv = dual_goal\n[run]\nseed = 1\n",
+    "stray_line": "[run]\nenv = dual_goal\nstray\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNPARSABLE_CONFIGS))
+def test_unparsable_config_is_usage_error(tmp_path, capsys, case):
+    config = tmp_path / "c.ini"
+    config.write_text(UNPARSABLE_CONFIGS[case])
+    assert main(["run", "--config", str(config), "--output-dir", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_percent_sign_in_a_config_value_is_literal(tmp_path):
+    # An output directory with "%" in it is written to the snapshot and read back as it is.
+    config = {"env": "dual_goal", "seed": 0, "total_budget": 4000, "output_dir": str(tmp_path / "100%"),
+              "lle": LleConfig(), "ppo": PpoConfig()}
+    write_config_snapshot(tmp_path / "config.ini", config)
+    assert load_run_config(tmp_path / "config.ini") == config
 
 
 def test_existing_output_dir_is_rejected_untouched(tmp_path, monkeypatch, capsys):

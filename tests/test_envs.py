@@ -43,13 +43,32 @@ def test_speed_energy_control_cost_is_squared_action():
 
 
 def test_dual_goal_single_step_hand_evaluated():
-    # One step from rest with a=(1,0), dt=0.05, no friction:
-    # v' = (0.05, 0), R1 = 0.05 - c, R2 = -c.
+    # One step from rest with a=(1,0), dt=0.05; friction acts on a zero
+    # velocity, so it adds nothing: v' = (0.05, 0), R1 = 0.05 - c, R2 = -c.
     c = 0.05
-    env = DualGoal(dt=0.05, friction=0.0, control_cost_coeff=c)
+    env = DualGoal()
     _, reward = step_one(env, reset_one(env, 1), np.array([1.0, 0.0]))
     assert reward[0] == pytest.approx(0.05 * 1.0 - c * 1.0)
     assert reward[1] == pytest.approx(-c * 1.0)
+
+
+def test_dual_goal_step_from_a_moving_state_hand_evaluated():
+    # From p=(0, 0), v=(1, -2) with a=(0.5, 0), dt=0.05, friction 0.1, c=0.05:
+    # vx' = 1 + (0.5 - 0.1) * 0.05 = 1.02, vy' = -2 + 0.2 * 0.05 = -1.99,
+    # p' = 0.05 * v', cost = 0.05 * 0.25 = 0.0125.
+    env = DualGoal()
+    next_obs, reward = step_one(env, np.array([[0.0, 0.0, 1.0, -2.0]]), np.array([0.5, 0.0]))
+    assert next_obs[0] == pytest.approx([0.051, -0.0995, 1.02, -1.99])
+    assert reward == pytest.approx([1.02 - 0.0125, -1.99 - 0.0125])
+
+
+def test_speed_energy_step_from_a_moving_state_hand_evaluated():
+    # From p=1, v=2 with a=-0.5, dt=0.05, friction 0.1:
+    # v' = 2 + (-0.5 - 0.2) * 0.05 = 1.965, p' = 1 + 0.05 * 1.965, R = (v', -a^2).
+    env = SpeedEnergy()
+    next_obs, reward = step_one(env, np.array([[1.0, 2.0]]), np.array([-0.5]))
+    assert next_obs[0] == pytest.approx([1.09825, 1.965])
+    assert reward == pytest.approx([1.965, -0.25])
 
 
 def test_actions_clipped_not_rejected():

@@ -19,6 +19,12 @@ def test_layout_size_small_net():
     assert theta.data.shape == (35,)
 
 
+@pytest.mark.parametrize("hidden", [(), (0,)])
+def test_init_rejects_a_network_without_hidden_units(hidden):
+    with pytest.raises(ValueError):
+        init_actor_critic(DualGoal(), 0, hidden=hidden)
+
+
 def test_single_weight_change_single_coordinate():
     theta = init_actor_critic(DualGoal(), 7, hidden=(8, 8))
     before = theta.data.copy()
@@ -69,7 +75,7 @@ def test_evaluate_zero_policy_dual_goal():
 
 def test_evaluate_full_throttle_speed_energy():
     # Constant action 1 for 100 steps: energy objective totals -100.
-    env = SpeedEnergy(horizon=100)
+    env = SpeedEnergy()
     layout = init_actor_critic(env, 0, hidden=(8, 8)).layout
     theta = ParameterVector(np.zeros(layout.size), layout)
     theta.block("actor.b1")[...] = 5.0  # saturates nothing: output layer bias below

@@ -294,9 +294,7 @@ def test_scalarization_consistency_single_objective_wrapper():
             self.inner = inner
             s = inner.spec
             self.spec = EnvSpec(
-                name=s.name + "_r1", obs_dim=s.obs_dim, act_dim=s.act_dim, d=1,
-                horizon=s.horizon, dt=s.dt, control_cost_coeff=s.control_cost_coeff,
-                friction=s.friction,
+                name=s.name + "_r1", obs_dim=s.obs_dim, act_dim=s.act_dim, d=1, horizon=s.horizon
             )
 
         def _initial_obs(self, n, rng):
@@ -374,7 +372,7 @@ def _reference_grad(theta, obs, actions, logp_old, advantages, returns, cfg):
 
     def backward(net, delta, acts):
         blocks = []
-        for i in range(net.spec.n_layers - 1, -1, -1):
+        for i in range(len(net.weights) - 1, -1, -1):
             blocks = [acts[i].T @ delta, delta.sum(axis=0)] + blocks
             if i > 0:
                 delta = (delta @ net.weights[i].T) * (1.0 - acts[i] ** 2)
