@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import base64
 import json
-import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Container, Iterable
@@ -99,7 +98,7 @@ def _actor_critic_layout(entries: tuple) -> ParamLayout:
         sizes = []
         for net in ("actor", "critic"):
             shapes = [shape for key, shape in entries if key.startswith(f"{net}.W")]
-            sizes.append(tuple(map(operator.index, (shapes[0][0], *(shape[1] for shape in shapes)))))
+            sizes.append((shapes[0][0], *(shape[1] for shape in shapes)))
         layout = policy_layout(*sizes)
     except (IndexError, TypeError, ValueError):
         layout = None

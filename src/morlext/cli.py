@@ -161,9 +161,10 @@ def write_config_snapshot(path: Path, config: dict) -> None:
 # run
 
 
-def _candidate_records(cands, final_values) -> Iterator[ArchiveRecord]:
-    """One archive record per candidate, each made (and its theta formed)
-    only when `save_archive` asks for it."""
+def _candidate_records(cands, result: PipelineResult) -> Iterator[ArchiveRecord]:
+    """One archive record per candidate of the final pool, with its
+    returns at both grades, each made (and its theta formed) only when
+    `save_archive` asks for it."""
     for c in cands:
         meta = {
             "policy_id": c.policy_id,
@@ -172,10 +173,9 @@ def _candidate_records(cands, final_values) -> Iterator[ArchiveRecord]:
             "alphas": [c.alpha],
             "matched_w": c.matched_w.tolist(),
             "raw_w": c.raw_w.tolist(),
-            "returns": c.returns.tolist(),
+            "returns": result.select_returns[c.key].tolist(),
+            "final_returns": result.final_returns[c.key].tolist(),
         }
-        if c.policy_id in final_values:
-            meta["final_returns"] = final_values[c.policy_id].tolist()
         yield ArchiveRecord(theta=c.theta, meta=meta)
 
 
@@ -189,10 +189,10 @@ def _write_run_artifacts(out_dir: Path, config: dict, result: PipelineResult, wa
     final_ids = {p.policy_id for p in result.archive.points}
 
     def off_front(cands):
-        return _candidate_records([c for c in cands if c.policy_id not in final_ids], result.final_values)
+        return _candidate_records([c for c in cands if c.policy_id not in final_ids], result)
 
     policies_dir = out_dir / "policies"
-    save_archive(policies_dir / "bases.jsonl", _candidate_records(result.bases, result.final_values))
+    save_archive(policies_dir / "bases.jsonl", _candidate_records(result.bases, result))
     save_archive(policies_dir / "fine_tuned.jsonl", off_front(result.fine_tuned))
     # One direction per base; "direction_index" stays in the format.
     direction_records = [
@@ -210,7 +210,7 @@ def _write_run_artifacts(out_dir: Path, config: dict, result: PipelineResult, wa
     ]
     save_archive(policies_dir / "directions.jsonl", direction_records)
     final_members = [result.policies_by_id[p.policy_id] for p in result.archive.points]
-    save_archive(policies_dir / "final.jsonl", _candidate_records(final_members, result.final_values))
+    save_archive(policies_dir / "final.jsonl", _candidate_records(final_members, result))
     save_archive(policies_dir / "selected.jsonl", off_front(result.selected))
 
     with open(out_dir / "candidates.csv", "w", newline="") as fh:
@@ -231,7 +231,7 @@ def _write_run_artifacts(out_dir: Path, config: dict, result: PipelineResult, wa
                     ";".join(repr(x) for x in c.matched_w.tolist()),
                     ";".join(repr(x) for x in c.raw_w.tolist()),
                 ]
-                + [repr(float(v)) for v in c.returns]
+                + [repr(float(v)) for v in result.select_returns[c.key]]
                 + [c.stage, int(c.policy_id in selected_ids)]
             )
 
@@ -466,13 +466,10 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         # Looked up at call time, so a replaced module attribute is the one called.
         return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
-    except (ConfigError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except (DivergenceError, FloatingPointError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -27,15 +27,15 @@ and grid, a retrain's grid, a fine-tune's output), and the run fails
 only when fewer than two bases train. The runner trains all of a
 stage's runs as one lockstep stack, whatever their budgets. Evaluation
 is a pure function of (theta, episodes, seed), so identical policies
-get identical returns without a cache. `run_pipeline` rolls out each
-policy once per grade, by `_policy_key`: a grid's alpha = 0 and alpha = 1
-copies take the returns of the base and the retrained policy they copy.
+get identical returns without a cache. Returns live in two tables, one
+per evaluation grade, keyed by `CandidatePolicy.key`; each policy is
+rolled out once per grade, so a grid's alpha = 0 and alpha = 1 copies
+take the returns of the base and the retrained policy they copy.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -136,8 +136,8 @@ def clip_to_simplex(raw: np.ndarray) -> np.ndarray:
 class DirectionSet:
     """One base policy's local direction: the base, the policy retrained
     at its shifted weight, their parameter difference `delta` and weight
-    difference `weight_delta`, both policies' final-grade returns, whether
-    those returns are mutually non-dominated, and whether `delta` is zero."""
+    difference `weight_delta`, whether the two are mutually non-dominated
+    at final grade, and whether `delta` is zero."""
 
     # Directions per base; the benchmark's span hook (bench/spans.py) reads it.
     m = 1
@@ -148,8 +148,6 @@ class DirectionSet:
     delta: ParameterVector
     weight_delta: np.ndarray
     retrained_theta: ParameterVector
-    base_returns: np.ndarray | None = None
-    retrained_returns: np.ndarray | None = None
     mutual_non_dominated: bool = False
     degenerate: bool = False
 
@@ -178,13 +176,19 @@ class CandidatePolicy:
     alpha: float
     stage: str  # "extended" or "fine_tuned"
     policy_id: int
-    returns: np.ndarray | None = None
     trained: ParameterVector | None = None
     direction: DirectionSet | None = None
 
     @property
     def theta(self) -> ParameterVector:
         return self.trained if self.direction is None else self.direction.theta_at(self.alpha)
+
+    @property
+    def key(self) -> tuple[int, float] | int:
+        """The policy this is, whatever its id: (base, alpha) for an
+        extended one, base + alpha * direction, so a base and its grid's
+        alpha = 0 copy share a key; the id for a fine-tuned one."""
+        return (self.base_index, self.alpha) if self.stage == "extended" else self.policy_id
 
     @property
     def is_base(self) -> bool:
@@ -233,53 +237,35 @@ class BudgetLedger:
 
 
 def _evaluate(
-    thetas: Iterable[ParameterVector], env: VectorRewardEnv, episodes: int, seed: int, ledger: BudgetLedger
+    thetas: Iterable[ParameterVector], n: int, env: VectorRewardEnv, episodes: int, seed: int, ledger: BudgetLedger
 ) -> np.ndarray:
-    """The (n, d) returns matrix of the n policies, row i for the i-th,
-    from one `evaluate_returns` call per EVAL_CHUNK policies; every policy
-    is charged to the ledger, and no policies give a (0, d) matrix.
-    Each theta is drawn from `thetas` only as its chunk fills and is
-    copied straight into the one stack the chunks share, so a vector
-    formed on demand is dropped as soon as it is copied. The stack grows
-    in place, doubling up to EVAL_CHUNK rows, so a small evaluation
-    allocates at most twice the rows it fills: freeing a whole chunk
-    would raise glibc's mmap threshold, and with it the peak memory of
-    the training that follows."""
-    chunks = [np.empty((0, env.spec.d))]
-    pending = iter(thetas)
-    stack = np.empty((0, 0))
-    while True:
-        n = 0
-        for n, theta in enumerate(itertools.islice(pending, EVAL_CHUNK), 1):
-            if n > len(stack):
-                # Only the first chunk grows the stack, before any view of it exists;
-                # a tracer's hold on this frame's locals would fail the reference check.
-                stack.resize((min(2 * n, EVAL_CHUNK), theta.layout.size), refcheck=False)
-            stack[n - 1] = theta.data
-        if not n:
-            break
-        chunks.append(evaluate_returns(ParameterVector(stack[:n], theta.layout), env, episodes, seed))
-    returns = np.concatenate(chunks)
-    ledger.eval_steps += len(returns) * episodes * env.spec.horizon
+    """The (n, d) returns matrix of the n policies `thetas` yields, row i
+    for the i-th, from one `evaluate_returns` call per EVAL_CHUNK policies;
+    every policy is charged to the ledger, and n = 0 gives a (0, d) matrix.
+    Each theta is drawn only as its chunk fills and is copied straight
+    into the one stack of min(n, EVAL_CHUNK) rows that the chunks share,
+    so a vector formed on demand is dropped as soon as it is copied."""
+    returns = np.empty((n, env.spec.d))
+    for i, theta in enumerate(thetas):
+        if not i:
+            stack = np.empty((min(n, EVAL_CHUNK), theta.layout.size))
+        row = i % EVAL_CHUNK
+        stack[row] = theta.data
+        if row == len(stack) - 1 or i == n - 1:
+            chunk = ParameterVector(stack[: row + 1], theta.layout)
+            returns[i - row : i + 1] = evaluate_returns(chunk, env, episodes, seed)
+    ledger.eval_steps += n * episodes * env.spec.horizon
     return returns
-
-
-def _policy_key(c: CandidatePolicy) -> tuple[int, float] | int:
-    """The policy a candidate is, whatever its id: (base, alpha) for an
-    extended one, base + alpha * direction, so a base and its grid's
-    alpha = 0 copy share a key; the id for a fine-tuned one."""
-    return (c.base_index, c.alpha) if c.stage == "extended" else c.policy_id
 
 
 def _graded_returns(
     policies: list[CandidatePolicy], table: dict, env: VectorRewardEnv, episodes: int, seed: int, ledger: BudgetLedger
-) -> list[np.ndarray]:
-    """Each policy's returns at one evaluation grade, in order, from
-    `table`, that grade's returns by `_policy_key`; each key missing from
-    it is rolled out once, in one `_evaluate` call, and added to it."""
-    missing = {_policy_key(c): c for c in policies if _policy_key(c) not in table}
-    table.update(zip(missing, _evaluate((c.theta for c in missing.values()), env, episodes, seed, ledger)))
-    return [table[_policy_key(c)] for c in policies]
+) -> None:
+    """Fill `table`, one grade's returns by `CandidatePolicy.key`: each
+    policy whose key it lacks is rolled out once, in one `_evaluate` call."""
+    missing = {c.key: c for c in policies if c.key not in table}
+    thetas = (c.theta for c in missing.values())
+    table.update(zip(missing, _evaluate(thetas, len(missing), env, episodes, seed, ledger)))
 
 
 @dataclass(frozen=True)
@@ -334,13 +320,15 @@ def directional_retrain(
     ppo_cfg: PpoConfig,
     budgets: list[int],
     ledger: BudgetLedger,
+    final_returns: dict,
     log_dir: Path | None = None,
 ) -> list[DirectionSet]:
     """Estimate each base's local direction by brief retraining at its one
     shifted weight, for its entry of `budgets` steps.
 
-    Each base and its retrained policy are checked for mutual
-    non-dominance at final evaluation grade; a violation or a zero
+    Each base and its retrained policy are rolled out at final evaluation
+    grade, their returns written to `final_returns` as (base, 0.0) and
+    (base, 1.0), and checked for mutual non-dominance; a violation or a zero
     direction is warned about and flagged, never raised, so degenerate
     runs still complete with the direction they found. A base whose
     retraining run diverges gets no direction set.
@@ -367,11 +355,11 @@ def directional_retrain(
         if theta is not None
     ]
     returns = _evaluate(
-        [theta for dirs in directions for theta in (dirs.base_theta, dirs.retrained_theta)],
+        (theta for dirs in directions for theta in (dirs.base_theta, dirs.retrained_theta)), 2 * len(directions),
         env, cfg.final_eval_episodes, derive_seed(cfg.seed, "eval.final"), ledger,
     )
     for dirs, base, moved in zip(directions, returns[::2], returns[1::2]):
-        dirs.base_returns, dirs.retrained_returns = base, moved
+        final_returns[dirs.base_index, 0.0], final_returns[dirs.base_index, 1.0] = base, moved
         dirs.mutual_non_dominated = not dominates(base, moved) and not dominates(moved, base)
         if not dirs.mutual_non_dominated:
             warnings.warn(
@@ -391,8 +379,7 @@ def extend(dirs: DirectionSet, cfg: LleConfig, id_start: int) -> list[CandidateP
 
     Nothing is trained or rolled out here, and no candidate stores a
     theta: each holds `dirs` and its coefficient (see
-    `DirectionSet.theta_at`), and has no returns until `run_pipeline`
-    rolls its grid out.
+    `DirectionSet.theta_at`), and `run_pipeline` rolls its grid out.
     """
     candidates = []
     # tolist() gives Python floats, whose repr the run directory records.
@@ -411,15 +398,16 @@ def extend(dirs: DirectionSet, cfg: LleConfig, id_start: int) -> list[CandidateP
     return candidates
 
 
-def select_candidates(candidates: list[CandidatePolicy]) -> list[CandidatePolicy]:
-    """Pooled non-dominated subset over the evaluated candidates."""
+def select_candidates(candidates: list[CandidatePolicy], returns: dict) -> list[CandidatePolicy]:
+    """Pooled non-dominated subset over the candidates, by their `returns`
+    (the selection-grade table)."""
     if not candidates:
         return []
     for c in candidates:
-        if c.returns is None:
+        if c.key not in returns:
             raise ValueError(f"candidate {c.policy_id} has not been evaluated")
     archive = non_dominated_filter(
-        [FrontPoint(c.returns, c.policy_id, c.stage) for c in candidates]
+        [FrontPoint(returns[c.key], c.policy_id, c.stage) for c in candidates]
     )
     keep = {p.policy_id for p in archive.points}
     return [c for c in candidates if c.policy_id in keep]
@@ -438,9 +426,8 @@ def fine_tune(
     """Brief preference-aligned training of each selected candidate.
 
     Inputs are never mutated; each output carries stage "fine_tuned" and
-    the next id from `id_start`, and no returns until `run_pipeline` rolls
-    it out. Only candidates with a budget of at least one batch are
-    trained: one with less would take no step and only copy its input, so
+    the next id from `id_start`, and `run_pipeline` rolls it out. Only
+    candidates with a budget of at least one batch are trained: one with less would take no step and only copy its input, so
     it gets no output, log or ledger steps. A candidate whose run diverges gets no output either, and its
     steps are not charged; the other candidates are unaffected.
     """
@@ -498,7 +485,9 @@ def _batch_for_each_run(total_steps: int, n_runs: int, batch: int, runs: str) ->
 
 @dataclass
 class PipelineResult:
-    """Everything a run produces: archives, provenance, and accounting."""
+    """Everything a run produces: archives, provenance, accounting, and
+    the returns of every evaluated policy, one table per grade keyed by
+    `CandidatePolicy.key`."""
 
     archive: ParetoArchive
     base_archive: ParetoArchive
@@ -508,7 +497,8 @@ class PipelineResult:
     selected: list[CandidatePolicy]
     fine_tuned: list[CandidatePolicy]
     directions: list[DirectionSet]
-    final_values: dict[int, np.ndarray]
+    select_returns: dict[tuple[int, float] | int, np.ndarray]
+    final_returns: dict[tuple[int, float] | int, np.ndarray]
     ref_point: np.ndarray
     ledger: BudgetLedger
     policies_by_id: dict[int, CandidatePolicy]
@@ -571,9 +561,11 @@ def run_pipeline(
         for k in trained
     ]
 
-    # Stage 2: directions; a base whose retraining diverged is not extended.
+    # Stage 2: directions, with each base's and retrained policy's
+    # final-grade returns; a base whose retraining diverged is not extended.
+    final_returns = {}
     directions = directional_retrain(
-        bases, env, cfg, ppo_cfg, [dir_budgets[b.base_index] for b in bases], ledger, log_dir
+        bases, env, cfg, ppo_cfg, [dir_budgets[b.base_index] for b in bases], ledger, final_returns, log_dir
     )
 
     # Stage 3: training-free extension, then the selection-grade rollouts:
@@ -586,43 +578,26 @@ def run_pipeline(
         candidates += grids[-1]
     select_returns = {}
     for group in [bases, *grids]:
-        returns = _graded_returns(group, select_returns, env, cfg.eval_episodes, select_seed, ledger)
-        for c, r in zip(group, returns):
-            c.returns = r
+        _graded_returns(group, select_returns, env, cfg.eval_episodes, select_seed, ledger)
 
     # Stage 4: pooled selection.
-    selected = select_candidates(candidates)
+    selected = select_candidates(candidates, select_returns)
     ledger.extension_training_steps = ledger.train_all_steps - trained_before
 
     # Stage 5: preference-aligned fine-tuning.
     ft_budgets = _even_batch_split(total_budget // 5, len(selected), batch)
     fine_tuned = fine_tune(selected, env, cfg, ppo_cfg, ft_budgets, cfg.K + len(candidates), ledger, log_dir)
-    returns = _graded_returns(fine_tuned, select_returns, env, cfg.eval_episodes, select_seed, ledger)
-    for c, r in zip(fine_tuned, returns):
-        c.returns = r
+    _graded_returns(fine_tuned, select_returns, env, cfg.eval_episodes, select_seed, ledger)
 
-    # Final-grade values of everything entering the archive pool; stage 2
-    # already rolled out each base (alpha = 0) and its retrained policy
-    # (alpha = 1) at this grade.
+    # Final-grade returns of everything entering the archive pool.
     pool = bases + selected + fine_tuned
-    final_returns = {}
-    for dirs in directions:
-        final_returns[dirs.base_index, 0.0] = dirs.base_returns
-        final_returns[dirs.base_index, 1.0] = dirs.retrained_returns
-    final_values = dict(zip(
-        (c.policy_id for c in pool),
-        _graded_returns(pool, final_returns, env, cfg.final_eval_episodes, final_seed, ledger),
-    ))
+    _graded_returns(pool, final_returns, env, cfg.final_eval_episodes, final_seed, ledger)
 
     base_archive, selection_archive, archive = (
-        non_dominated_filter([FrontPoint(final_values[c.policy_id], c.policy_id, c.stage) for c in group])
+        non_dominated_filter([FrontPoint(final_returns[c.key], c.policy_id, c.stage) for c in group])
         for group in (bases, bases + selected, pool)
     )
-
-    all_returns = list(final_values.values())
-    all_returns.extend(c.returns for c in bases + candidates + fine_tuned)
-    all_returns.extend(dirs.retrained_returns for dirs in directions)
-    ref_point = default_reference_point(all_returns)
+    ref_point = default_reference_point([*select_returns.values(), *final_returns.values()])
 
     return PipelineResult(
         archive=archive,
@@ -633,7 +608,8 @@ def run_pipeline(
         selected=selected,
         fine_tuned=fine_tuned,
         directions=directions,
-        final_values=final_values,
+        select_returns=select_returns,
+        final_returns=final_returns,
         ref_point=ref_point,
         ledger=ledger,
         policies_by_id={c.policy_id: c for c in bases + candidates + fine_tuned},

@@ -12,6 +12,7 @@ tanh MLP critic, all views into the vector's data.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -144,10 +145,16 @@ def _mlp_entries(prefix: str, sizes: tuple[int, ...]) -> list[tuple[str, tuple[i
     return entries
 
 
-@lru_cache(maxsize=None)
 def policy_layout(actor_sizes: tuple[int, ...], critic_sizes: tuple[int, ...]) -> ParamLayout:
     """The layout of an actor-critic whose tanh networks have these layer
-    sizes, (input, hidden..., output) each."""
+    sizes, (input, hidden..., output) each; a size that is not an integer
+    is a TypeError. Sizes are made ints before the cache is consulted:
+    8.0 == 8, so a float size would otherwise share its integer's entry."""
+    return _cached_layout(tuple(map(operator.index, actor_sizes)), tuple(map(operator.index, critic_sizes)))
+
+
+@lru_cache(maxsize=None)
+def _cached_layout(actor_sizes: tuple[int, ...], critic_sizes: tuple[int, ...]) -> ParamLayout:
     for sizes in (actor_sizes, critic_sizes):
         if len(sizes) < 3:
             raise ValueError("need at least one hidden layer")
@@ -157,6 +164,9 @@ def policy_layout(actor_sizes: tuple[int, ...], critic_sizes: tuple[int, ...]) -
     entries.append(("actor.log_std", (actor_sizes[-1],)))
     entries.extend(_mlp_entries("critic", critic_sizes))
     return ParamLayout(tuple(entries))
+
+
+policy_layout.cache_clear = _cached_layout.cache_clear
 
 
 class Networks(NamedTuple):

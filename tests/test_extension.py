@@ -142,17 +142,17 @@ def small_run():
     theta = init_actor_critic(env, seed=derive_seed(0, "net", 0), hidden=(8, 8))
     ledger = BudgetLedger()
     (dirs,) = directional_retrain(
-        [base_policy(theta, base_w)], env, cfg, ppo_cfg, [2 * ppo_cfg.steps_per_batch], ledger
+        [base_policy(theta, base_w)], env, cfg, ppo_cfg, [2 * ppo_cfg.steps_per_batch], ledger, {}
     )
     return env, cfg, ppo_cfg, dirs, ledger
 
 
 def rolled_out(cands, env, episodes, seed, ledger):
-    """The candidates with their returns set, rolled out as `run_pipeline`
-    rolls out one grid."""
-    for c, r in zip(cands, _graded_returns(cands, {}, env, episodes, seed, ledger)):
-        c.returns = r
-    return cands
+    """The candidates' returns table, filled as `run_pipeline` fills it
+    for one grid."""
+    table = {}
+    _graded_returns(cands, table, env, episodes, seed, ledger)
+    return table
 
 
 def test_directional_retrain_counts(small_run):
@@ -170,7 +170,7 @@ def test_zero_budget_retrain_is_degenerate():
     theta = init_actor_critic(env, seed=1, hidden=(8, 8))
     with pytest.warns(UserWarning, match="direction for base 0 is zero"):
         (dirs,) = directional_retrain(
-            [base_policy(theta, np.array([0.5, 0.5]))], env, cfg, ppo_cfg, [0], BudgetLedger()
+            [base_policy(theta, np.array([0.5, 0.5]))], env, cfg, ppo_cfg, [0], BudgetLedger(), {}
         )
     assert dirs.degenerate
     assert np.allclose(dirs.delta.data, 0.0)
@@ -243,7 +243,7 @@ def test_evaluate_holds_one_chunk_of_formed_vectors():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        returns = _evaluate(formed, env, 1, 3, BudgetLedger())
+        returns = _evaluate(formed, n, env, 1, 3, BudgetLedger())
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -251,9 +251,28 @@ def test_evaluate_holds_one_chunk_of_formed_vectors():
     assert peak < 1.5 * EVAL_CHUNK * base.data.nbytes
 
 
+def test_evaluate_allocates_a_stack_of_exact_size():
+    # Fewer policies than a chunk: the one stack holds exactly their rows,
+    # beside a few formed vectors and the rollout's small temporaries.
+    env = DualGoal()
+    base = init_actor_critic(env, seed=86)
+    noise = np.random.default_rng(87).standard_normal(base.data.shape)
+    n = EVAL_CHUNK // 2 + 1
+    formed = (ParameterVector(base.data + (0.01 * k) * noise, base.layout) for k in range(n))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        returns = _evaluate(formed, n, env, 1, 3, BudgetLedger())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert returns.shape == (n, env.spec.d)
+    assert peak < (n + 8) * base.data.nbytes
+
+
 def test_evaluate_under_a_trace_hook_matches_untraced():
     # A tracer (pdb, coverage, cProfile) holds the frame's locals, and with
-    # them a second reference to the stack that the first chunk grows.
+    # them a second reference to the stack.
     env = DualGoal()
     base = init_actor_critic(env, seed=84, hidden=(4, 4))
     noise = np.random.default_rng(85).standard_normal(base.data.shape)
@@ -265,11 +284,11 @@ def test_evaluate_under_a_trace_hook_matches_untraced():
     def tracer(frame, event, arg):
         return tracer if frame.f_code is _evaluate.__code__ else None
 
-    untraced = _evaluate(formed(), env, 1, 3, BudgetLedger())
+    untraced = _evaluate(formed(), n, env, 1, 3, BudgetLedger())
     previous = sys.gettrace()
     sys.settrace(tracer)
     try:
-        traced = _evaluate(formed(), env, 1, 3, BudgetLedger())
+        traced = _evaluate(formed(), n, env, 1, 3, BudgetLedger())
     finally:
         sys.settrace(previous)
     assert untraced.shape == (n, env.spec.d)
@@ -288,7 +307,6 @@ def test_extend_makes_no_rollout_and_takes_no_step(small_run, monkeypatch):
     cands = extend(dirs, cfg, 500)
     assert [c.alpha for c in cands] == alpha_grid(cfg.alpha_start, cfg.alpha_end, cfg.delta_alpha).tolist()
     assert [c.policy_id for c in cands] == list(range(500, 500 + len(cands)))
-    assert all(c.returns is None for c in cands)
     assert ledger.as_dict() == before
 
 
@@ -303,19 +321,20 @@ def test_extend_matched_weights(small_run):
 
 def test_select_candidates_matches_brute_force(small_run):
     env, cfg, ppo_cfg, dirs, ledger = small_run
-    cands = rolled_out(extend(dirs, cfg, 1000), env, cfg.eval_episodes, 5, ledger)
-    selected = select_candidates(cands)
+    cands = extend(dirs, cfg, 1000)
+    returns = rolled_out(cands, env, cfg.eval_episodes, 5, ledger)
+    selected = select_candidates(cands, returns)
     selected_ids = {c.policy_id for c in selected}
     for c in cands:
         dominated = any(
-            dominates(o.returns, c.returns) for o in cands if o.policy_id != c.policy_id
+            dominates(returns[o.key], returns[c.key]) for o in cands if o.policy_id != c.policy_id
         )
         if dominated:
             assert c.policy_id not in selected_ids
         else:
             # kept, unless an identical-returns twin with a lower id was kept
             twin_kept = any(
-                s.policy_id < c.policy_id and np.array_equal(s.returns, c.returns)
+                s.policy_id < c.policy_id and np.array_equal(returns[s.key], returns[c.key])
                 for s in selected
             )
             assert (c.policy_id in selected_ids) or twin_kept
@@ -325,8 +344,9 @@ def test_select_candidates_matches_brute_force(small_run):
 
 def test_select_single_candidate_is_itself(small_run):
     env, cfg, ppo_cfg, dirs, ledger = small_run
-    cands = rolled_out(extend(dirs, cfg, 0), env, cfg.eval_episodes, 5, ledger)
-    only = select_candidates([cands[0]])
+    cands = extend(dirs, cfg, 0)
+    returns = rolled_out(cands, env, cfg.eval_episodes, 5, ledger)
+    only = select_candidates([cands[0]], returns)
     assert len(only) == 1 and only[0].policy_id == cands[0].policy_id
 
 
@@ -334,7 +354,7 @@ def test_select_candidates_rejects_a_grid_never_rolled_out(small_run):
     env, cfg, ppo_cfg, dirs, ledger = small_run
     cands = extend(dirs, cfg, 300)
     with pytest.raises(ValueError, match="candidate 300 has not been evaluated"):
-        select_candidates(cands)
+        select_candidates(cands, {})
 
 
 def test_fine_tune_sub_batch_budget_trains_nothing(small_run, tmp_path):
@@ -421,7 +441,7 @@ def varied_thetas(env, n, seed=0):
 def test_evaluate_many_matches_per_policy_calls_across_chunks():
     env = DualGoal()
     thetas = varied_thetas(env, 2 * EVAL_CHUNK + 2)
-    got = _evaluate(thetas, env, 8, 13, BudgetLedger())
+    got = _evaluate(thetas, len(thetas), env, 8, 13, BudgetLedger())
     assert got.shape == (len(thetas), env.spec.d)
     for theta, r in zip(thetas, got):
         assert np.array_equal(r, evaluate_returns(stack_of_one(theta), env, 8, seed=13)[0])
@@ -430,8 +450,8 @@ def test_evaluate_many_matches_per_policy_calls_across_chunks():
 def test_evaluate_many_returns_input_order():
     env = DualGoal()
     a, b, c = varied_thetas(env, 3, seed=40)
-    forward = _evaluate([a, b, c], env, 4, 2, BudgetLedger())
-    backward = _evaluate([c, a, b], env, 4, 2, BudgetLedger())
+    forward = _evaluate([a, b, c], 3, env, 4, 2, BudgetLedger())
+    backward = _evaluate([c, a, b], 3, env, 4, 2, BudgetLedger())
     assert np.array_equal(backward, forward[[2, 0, 1]])
     assert not np.array_equal(forward[0], forward[1])
 
@@ -439,7 +459,7 @@ def test_evaluate_many_returns_input_order():
 def test_evaluate_nothing_gives_an_empty_matrix():
     env = DualGoal()
     ledger = BudgetLedger()
-    got = _evaluate(iter(()), env, 4, 3, ledger)
+    got = _evaluate(iter(()), 0, env, 4, 3, ledger)
     assert got.shape == (0, env.spec.d) and got.dtype == np.float64
     assert ledger.eval_steps == 0
 
@@ -448,12 +468,12 @@ def test_evaluate_repeated_theta_gets_equal_returns_and_every_policy_is_charged(
     env = DualGoal()
     a, b = varied_thetas(env, 2, seed=50)
     ledger = BudgetLedger()
-    got = _evaluate([a, b, a.copy(), a], env, 4, 3, ledger)
+    got = _evaluate([a, b, a.copy(), a], 4, env, 4, 3, ledger)
     assert np.array_equal(got[0], got[2])
     assert np.array_equal(got[0], got[3])
     assert not np.array_equal(got[0], got[1])
     assert ledger.eval_steps == 4 * 4 * env.spec.horizon
-    again = _evaluate([b, a], env, 4, 3, ledger)
+    again = _evaluate([b, a], 2, env, 4, 3, ledger)
     assert np.array_equal(again[1], got[0])
     assert ledger.eval_steps == 6 * 4 * env.spec.horizon
 
@@ -503,12 +523,35 @@ def test_pipeline_evaluates_each_policy_once_per_grade(reference_k3):
     for copy in zero_copies:
         base = bases[copy.base_index]
         assert np.array_equal(copy.theta.data, base.theta.data)
-        assert np.array_equal(copy.returns, base.returns)
+        assert np.array_equal(result.select_returns[copy.key], result.select_returns[base.key])
     final_seed = derive_seed(cfg.seed, "eval.final")
-    for policy_id, values in result.final_values.items():
-        theta = result.policies_by_id[policy_id].theta
+    for c in result.bases + result.selected + result.fine_tuned:
+        values, theta = result.final_returns[c.key], c.theta
         fresh = evaluate_returns(stack_of_one(theta), DualGoal(), cfg.final_eval_episodes, final_seed)
         assert np.array_equal(values, fresh[0])
+
+
+def test_pipeline_returns_tables_hold_each_policy_once_at_its_grade(reference_k3):
+    # The selection table holds every base, grid point and fine-tuned
+    # policy; the final table every pool member and both ends of every
+    # direction. Each value is a fresh rollout of its policy at its grade.
+    result, cfg = reference_k3, tiny_cfg(K=3)
+    env = DualGoal()
+    evaluated = result.bases + result.candidates + result.fine_tuned
+    pool = result.bases + result.selected + result.fine_tuned
+    ends = {(dirs.base_index, alpha) for dirs in result.directions for alpha in (0.0, 1.0)}
+    assert set(result.select_returns) == {c.key for c in evaluated}
+    assert set(result.final_returns) == {c.key for c in pool} | ends
+    thetas = {c.key: c.theta for c in evaluated}
+    thetas.update(((dirs.base_index, 1.0), dirs.retrained_theta) for dirs in result.directions)
+    for table, episodes, grade in (
+        (result.select_returns, cfg.eval_episodes, "eval.select"),
+        (result.final_returns, cfg.final_eval_episodes, "eval.final"),
+    ):
+        seed = derive_seed(cfg.seed, grade)
+        for key, values in table.items():
+            fresh = _evaluate([thetas[key]], 1, env, episodes, seed, BudgetLedger())
+            assert np.array_equal(values, fresh[0]), (grade, key)
 
 
 def test_pipeline_trains_only_in_its_training_stages(train_record):
@@ -583,7 +626,7 @@ def test_pipeline_final_archive_mutually_non_dominated(pipeline_result):
 
 def test_pipeline_archive_not_dominated_by_any_pool_member(pipeline_result):
     result, cfg, ppo_cfg = pipeline_result
-    pool_values = list(result.final_values.values())
+    pool_values = [result.final_returns[c.key] for c in result.bases + result.selected + result.fine_tuned]
     for row in result.archive.matrix():
         assert not any(dominates(v, row) for v in pool_values)
 
@@ -697,7 +740,7 @@ def test_diverged_retrain_keeps_its_base_unextended(monkeypatch):
     result, dropped = run_diverging(monkeypatch, {derive_seed(0, "retrain", 1, 1)})
     assert dropped == [dropped_message("retrain_1_1")]
     assert [b.base_index for b in result.bases] == [0, 1, 2]
-    assert 1 in result.final_values
+    assert result.bases[1].key in result.final_returns
     assert [dirs.base_index for dirs in result.directions] == [0, 2]
     assert not [c for c in result.candidates if c.base_index == 1]
     assert result.ledger.retrain_steps == 2 * tiny_ppo().steps_per_batch
@@ -769,11 +812,15 @@ def test_retraining_moves_performance_toward_new_preference():
         cfg = LleConfig(K=2, seed=seed, final_eval_episodes=32)
         with w_mod.catch_warnings():
             w_mod.simplefilter("ignore")
-            (dirs,) = directional_retrain([base_policy(base, base_w)], env, cfg, ppo_cfg, [5_120], BudgetLedger())
+            final_returns = {}
+            (dirs,) = directional_retrain(
+                [base_policy(base, base_w)], env, cfg, ppo_cfg, [5_120], BudgetLedger(), final_returns
+            )
         shifted_w = base_w + dirs.weight_delta
-        differs = not np.array_equal(dirs.base_returns, dirs.retrained_returns)
-        improved = float(shifted_w @ dirs.retrained_returns) >= float(
-            shifted_w @ dirs.base_returns
+        base_returns, retrained_returns = final_returns[0, 0.0], final_returns[0, 1.0]
+        differs = not np.array_equal(base_returns, retrained_returns)
+        improved = float(shifted_w @ retrained_returns) >= float(
+            shifted_w @ base_returns
         )
         assert isinstance(dirs.mutual_non_dominated, bool)  # flag recorded either way
         good += differs and improved
@@ -788,7 +835,7 @@ def test_fine_tuning_improves_scalarized_return_on_most_candidates():
         w_mod.simplefilter("ignore")
         result = run_pipeline(DualGoal(), LleConfig(K=4, seed=0), PpoConfig(), total_budget=60_000)
     before_by_key = {
-        (c.base_index, c.alpha): float(c.matched_w @ c.returns) for c in result.selected
+        (c.base_index, c.alpha): float(c.matched_w @ result.select_returns[c.key]) for c in result.selected
     }
     improved, total = 0, 0
     for tuned in result.fine_tuned:
@@ -796,6 +843,6 @@ def test_fine_tuning_improves_scalarized_return_on_most_candidates():
         if before is None:
             continue
         total += 1
-        improved += float(tuned.matched_w @ tuned.returns) >= before
+        improved += float(tuned.matched_w @ result.select_returns[tuned.key]) >= before
     assert total > 0
     assert improved / total >= 0.7, f"only {improved}/{total} candidates improved"

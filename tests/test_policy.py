@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from morlext.envs import DualGoal, SpeedEnergy
-from morlext.policy import ParameterVector, evaluate_returns, gaussian_log_prob, unflatten
+from morlext.policy import ParameterVector, evaluate_returns, gaussian_log_prob, policy_layout, unflatten
 from morlext.ppo import init_actor_critic
 
 
@@ -23,6 +23,19 @@ def test_layout_size_small_net():
 def test_init_rejects_a_network_without_hidden_units(hidden):
     with pytest.raises(ValueError):
         init_actor_critic(DualGoal(), 0, hidden=hidden)
+
+
+def test_float_layer_size_rejected_in_either_order():
+    # 8.0 == 8, so a float size that reached the layout cache would share
+    # the entry of 8: it would fail every later integer call, or be accepted.
+    env = DualGoal()
+    for float_first in (True, False):
+        policy_layout.cache_clear()
+        if not float_first:
+            assert init_actor_critic(env, 0, hidden=(8,)).data.shape == (109,)
+        with pytest.raises(TypeError):
+            init_actor_critic(env, 0, hidden=(8.0,))
+        assert init_actor_critic(env, 0, hidden=(8,)).data.shape == (109,)
 
 
 def test_single_weight_change_single_coordinate():
