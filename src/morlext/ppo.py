@@ -16,8 +16,8 @@ value loss is unclipped, and gradients are clipped by global norm.
 
 The hot path allocates little: an update builds its network and
 gradient views once (`UpdateViews`), the backward pass writes into them
-and Adam steps in place, with the same floating-point operations in the
-same order as the textbook formulas.
+and Adam steps in place, reusing the spent gradient as scratch, with the
+same floating-point operations in the same order as the textbook formulas.
 
 Training runs in lockstep. `train` takes a stack of C policies, each
 with its own weight, seed, log stream and step budget. The members'
@@ -27,7 +27,7 @@ environments and a minibatch is one stacked `loss_and_grad` call and one
 Adam step on the matrix. A member leaves the stack, with its Adam rows,
 generator and carried observation, after its last whole batch or after
 the batch in which its loss went non-finite, and the others go on as
-they would alone.
+they would alone; the stack is copied smaller only in such a batch.
 Each member draws from its own generator in the order it would alone,
 and every operation on the stack either works row by row (elementwise
 arithmetic, sums along a row, one norm per row) or makes one BLAS call
@@ -238,14 +238,17 @@ def loss_and_grad(
 
 
 class Adam:
-    """Adam row by row over a (C, P) stack of flat parameter vectors."""
+    """Adam row by row over a (C, P) stack of flat parameter vectors.
+
+    It holds three (C, P) arrays: the moments m and v and one scratch
+    array; `step` borrows the gradient it consumes as the second.
+    """
 
     def __init__(self, shape: tuple[int, int], lr: float):
         self.lr = lr
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
         self.t = 0
-        self._num = np.empty(shape)
         self._den = np.empty(shape)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
@@ -253,12 +256,14 @@ class Adam:
 
         Each operation matches the textbook expression's, in its order, so
         the result is bit-identical to evaluating it with temporaries.
+        The step consumes `grad`: once the moments have read it, it holds
+        the numerator, so a caller must not read it afterwards.
         """
         self.t += 1
-        m, v, num, den = self.m, self.v, self._num, self._den
+        m, v, den = self.m, self.v, self._den
         m *= ADAM_BETA1
-        np.multiply(grad, 1.0 - ADAM_BETA1, out=num)
-        m += num
+        np.multiply(grad, 1.0 - ADAM_BETA1, out=den)
+        m += den
         v *= ADAM_BETA2
         np.multiply(grad, grad, out=den)
         den *= 1.0 - ADAM_BETA2
@@ -266,14 +271,17 @@ class Adam:
         np.divide(v, 1.0 - ADAM_BETA2**self.t, out=den)
         np.sqrt(den, out=den)
         den += ADAM_EPS
-        np.divide(m, 1.0 - ADAM_BETA1**self.t, out=num)
+        num = np.divide(m, 1.0 - ADAM_BETA1**self.t, out=grad)
         num *= self.lr
         num /= den
         params -= num
 
     def keep_rows(self, keep: np.ndarray) -> None:
-        """Drop the state of the stack rows where `keep` is False."""
-        self.m, self.v, self._num, self._den = (a[keep] for a in (self.m, self.v, self._num, self._den))
+        """Drop the state of the stack rows where `keep` is False, one
+        array at a time, so only one array's old rows outlive its new ones."""
+        self.m = self.m[keep]
+        self.v = self.v[keep]
+        self._den = self._den[keep]
 
 
 def clip_grad_norm(grad: np.ndarray, max_norm: float) -> np.ndarray:
@@ -459,7 +467,11 @@ def train(
     weights = np.stack([check_weight(w, env.spec.d) for w in weights])
     layout = thetas[0].layout
     n_batches = [steps_taken(steps, cfg) // cfg.steps_per_batch for steps in budgets]
-    results: list[ParameterVector | DivergenceError] = [t.copy() for t in thetas]
+    # A member that never joins the stack comes back as a copy; the others'
+    # entries are filled as they leave it.
+    results: list[ParameterVector | DivergenceError | None] = [
+        t.copy() if n == 0 else None for t, n in zip(thetas, n_batches)
+    ]
     members = [m for m, n in enumerate(n_batches) if n > 0]  # member of each stack row
     if not members:
         return results
@@ -487,14 +499,15 @@ def train(
                     f"scalar_return_per_episode={mean_ep:.4f} "
                     f"value_residual={residual:.4f}\n"
                 )
-        optimizer.keep_rows(keep)
-        stack = ParameterVector(stack.data[keep], layout)
-        members = [m for m, k in zip(members, keep) if k]
-        rngs = [g for g, k in zip(rngs, keep) if k]
-        weights = weights[keep]
-        carry = (carry[0][keep], carry[1])
-        if not members:
+        if not keep.any():
             break
+        if not keep.all():
+            optimizer.keep_rows(keep)
+            stack = ParameterVector(stack.data[keep], layout)
+            members = [m for m, k in zip(members, keep) if k]
+            rngs = [g for g, k in zip(rngs, keep) if k]
+            weights = weights[keep]
+            carry = (carry[0][keep], carry[1])
     return results
 
 

@@ -185,9 +185,15 @@ def test_single_objective_training_sanity():
     w = np.array([1.0, 0.0])
     wins = 0
     details = []
-    for seed in range(5):
-        env = SpeedEnergy()
-        theta0 = init_actor_critic(env, derive_seed(seed, "net"))
+    seeds = range(5)
+    env = SpeedEnergy()
+    starts = [init_actor_critic(env, derive_seed(seed, "net")) for seed in seeds]
+    # One stack for the five seeds; each member trains as it would alone.
+    trained_all = train(
+        starts, env, [w] * len(starts), 50_000, cfg, [derive_seed(seed, "train") for seed in seeds],
+        [None] * len(starts),
+    )
+    for seed, theta0, trained in zip(seeds, starts, trained_all):
         one = ParameterVector(theta0.data[None], theta0.layout)
         episodes = np.stack(
             [
@@ -196,7 +202,6 @@ def test_single_objective_training_sanity():
             ]
         )
         base_mean, base_std = episodes.mean(axis=0)[0], episodes.std(axis=0)[0]
-        trained = train([theta0], env, [w], 50_000, cfg, [derive_seed(seed, "train")], [None])[0]
         final = evaluate_returns(
             ParameterVector(trained.data[None], trained.layout), env, 32, derive_seed(seed, "eval")
         )[0, 0]
@@ -225,17 +230,21 @@ def test_retrained_policy_closer_than_independent():
     base_steps, retrain_steps = 30_000, 5_120
     wins = 0
     ratios = []
-    for seed in range(5):
-        env = DualGoal()
-        base = train(
-            [init_actor_critic(env, derive_seed(seed, "net-a"))],
-            env, [w1], base_steps, cfg, [derive_seed(seed, "base")], [None],
-        )[0]
-        retrained = train([base], env, [w2], retrain_steps, cfg, [derive_seed(seed, "retrain")], [None])[0]
-        independent = train(
-            [init_actor_critic(env, derive_seed(seed, "net-b"))],
-            env, [w2], base_steps + retrain_steps, cfg, [derive_seed(seed, "indep")], [None],
-        )[0]
+    seeds = range(5)
+    env = DualGoal()
+    # One stack per stage: the bases beside the independent runs, each on
+    # its own budget, then the retrains; each member trains as it would alone.
+    first = train(
+        [init_actor_critic(env, derive_seed(seed, net)) for net in ("net-a", "net-b") for seed in seeds],
+        env, [w1] * 5 + [w2] * 5, base_steps + retrain_steps, cfg,
+        [derive_seed(seed, run) for run in ("base", "indep") for seed in seeds], [None] * 10,
+        member_steps=[base_steps] * 5 + [base_steps + retrain_steps] * 5,
+    )
+    bases, independents = first[:5], first[5:]
+    retrains = train(
+        bases, env, [w2] * 5, retrain_steps, cfg, [derive_seed(seed, "retrain") for seed in seeds], [None] * 5
+    )
+    for base, retrained, independent in zip(bases, retrains, independents):
         d_retrained, _ = hungarian_distance(base, retrained)
         d_independent, _ = hungarian_distance(base, independent)
         wins += d_retrained < d_independent

@@ -377,8 +377,8 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     # no [lle] key sets either.
     cases = [("run", "bogus_key", "3"), ("lle", "t_init", "63"), ("lle", "t_dir", "64"),
              ("lle", "t_ref", "0"), ("lle", "seed", "7"), ("run", "total_budget", "inf"),
-             ("run", "total_budget", "lots"), ("run", "seed", "1.5"), ("run", "seed", "4294967296"),
-             ("run", "seed", "-1")]
+             ("run", "total_budget", "lots"), ("run", "total_budget", "15360.9"), ("run", "seed", "1.5"),
+             ("run", "seed", "4294967296"), ("run", "seed", "-1")]
     for section, key, value in cases:
         sections = {"run": f"env = dual_goal\noutput_dir = {tmp_path / 'x'}\n",
                     "ppo": "steps_per_batch = 64\n", "lle": ""}
@@ -511,6 +511,13 @@ def test_three_line_config_has_full_defaults(tmp_path):
     assert parsed["lle"].delta_alpha == 0.05
     assert parsed["ppo"].steps_per_batch == 512
     assert parsed["ppo"].gamma == 0.995
+
+
+def test_integral_budget_in_float_notation_loads(tmp_path):
+    config = tmp_path / "c.ini"
+    config.write_text("[run]\nenv = dual_goal\ntotal_budget = 1.5e4\n")
+    budget = load_run_config(config)["total_budget"]
+    assert budget == 15_000 and type(budget) is int
 
 
 INVALID_FIELDS = [

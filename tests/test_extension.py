@@ -800,15 +800,19 @@ def test_retraining_moves_performance_toward_new_preference():
     improves the shifted scalarization, across seeds."""
     import warnings as w_mod
 
+    from morlext.ppo import train
+
     ppo_cfg = PpoConfig()
     base_w = np.array([1.0, 0.0])
     good = 0
-    for seed in range(10):
-        env = DualGoal()
-        base = init_actor_critic(env, derive_seed(seed, "net"))
-        from morlext.ppo import train
-
-        base = train([base], env, [base_w], 20_000, ppo_cfg, [derive_seed(seed, "train")], [None])[0]
+    seeds = range(10)
+    env = DualGoal()
+    # The ten base runs as one stack; each member trains as it would alone.
+    trained = train(
+        [init_actor_critic(env, derive_seed(seed, "net")) for seed in seeds], env, [base_w] * 10, 20_000, ppo_cfg,
+        [derive_seed(seed, "train") for seed in seeds], [None] * 10,
+    )
+    for seed, base in zip(seeds, trained):
         cfg = LleConfig(K=2, seed=seed, final_eval_episodes=32)
         with w_mod.catch_warnings():
             w_mod.simplefilter("ignore")

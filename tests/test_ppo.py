@@ -207,6 +207,27 @@ def test_adam_zero_grad_zero_step():
     assert np.array_equal(params, np.ones((1, 4)))
 
 
+def test_adam_step_equals_textbook_formula_bit_for_bit():
+    """The in-place step, which writes its numerator into the spent
+    gradient, rounds exactly like the textbook update with temporaries."""
+    from morlext.ppo import ADAM_BETA1 as b1
+    from morlext.ppo import ADAM_BETA2 as b2
+    from morlext.ppo import ADAM_EPS as eps
+
+    rng = np.random.default_rng(5)
+    params = rng.standard_normal((3, 50))
+    expected = params.copy()
+    m = v = np.zeros(params.shape)
+    adam = Adam(params.shape, lr=0.01)
+    for t in range(1, 6):
+        grad = rng.standard_normal(params.shape)
+        m = b1 * m + (1.0 - b1) * grad
+        v = b2 * v + (1.0 - b2) * (grad * grad)
+        expected = expected - 0.01 * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        adam.step(params, grad)
+        assert np.array_equal(params, expected)
+
+
 def test_non_finite_loss_reports_divergence():
     from morlext.ppo import DivergenceError
 
@@ -323,8 +344,11 @@ def test_opposite_preferences_learn_opposite_tradeoffs():
     cfg = PpoConfig()
     env = DualGoal()
     theta0 = init_actor_critic(env, derive_seed(0, "net"))
-    east = train([theta0], env, [np.array([1.0, 0.0])], 100_000, cfg, [derive_seed(0, "east")], [None])[0]
-    north = train([theta0], env, [np.array([0.0, 1.0])], 100_000, cfg, [derive_seed(0, "north")], [None])[0]
+    # Both runs as one stack; each member trains as it would alone.
+    east, north = train(
+        [theta0, theta0], env, [np.array([1.0, 0.0]), np.array([0.0, 1.0])], 100_000, cfg,
+        [derive_seed(0, "east"), derive_seed(0, "north")], [None, None],
+    )
     v_east = evaluate_returns(stack_of_one(east), env, 32, seed=7)[0]
     v_north = evaluate_returns(stack_of_one(north), env, 32, seed=7)[0]
     assert v_east[0] > v_north[0]
@@ -540,6 +564,34 @@ def test_mixed_budget_stack_equals_single_runs_bit_for_bit():
         assert np.array_equal(got.data, alone.data)
         assert log.getvalue() == alone_log.getvalue()
         assert len(log.getvalue().splitlines()) == steps // batch
+
+
+def test_train_peak_memory_in_stack_units():
+    """Training a stack of full-size networks peaks at about eight (C, P)
+    arrays: the stack, the update's copy of it and the gradient, Adam's m,
+    v and one scratch array, and two arrays' worth of 32-row minibatch
+    activations. No start vector is copied beside the stack, which shrinks
+    only in the batch where a member leaves."""
+    import tracemalloc
+
+    env = DualGoal()
+    c = 8
+    thetas = [init_actor_critic(env, seed=90 + k) for k in range(c)]  # (64, 64): P = 9,157
+    cfg = PpoConfig(steps_per_batch=64, minibatches=2, epochs=1)  # 32-row minibatches, as by default
+    batch = cfg.steps_per_batch
+    budgets = [2 * batch] * (c - 1) + [batch]  # the last member leaves after one batch
+    unit = c * thetas[0].data.nbytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = train(thetas, env, [np.array([0.5, 0.5])] * c, 2 * batch, cfg, list(range(c)), [None] * c,
+                    member_steps=budgets)
+        peak = (tracemalloc.get_traced_memory()[1] - before) / unit
+    finally:
+        tracemalloc.stop()
+    assert len(out) == c
+    # A copy of every start vector, or a fourth Adam array, adds one array.
+    assert peak < 9.0, f"peak {peak:.2f} (C, P) arrays"
 
 
 def test_member_diverging_after_a_shorter_member_left(monkeypatch):
