@@ -84,6 +84,22 @@ def _number(key: str, text: str | int, kind: type) -> int | float:
     return value
 
 
+def _budget(text: str) -> int:
+    """`total_budget` as an integer, never truncated or rounded: integer
+    text is read exactly, and float text such as 1.5e4 only when its value
+    is an integer below 2**53, where a float cannot have rounded it."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    value = _number("total_budget", text, float)
+    if not value.is_integer():
+        raise ConfigError(f"total_budget must be an integer, got {text!r}")
+    if abs(value) >= 2**53:
+        raise ConfigError(f"total_budget of 2**53 or more must be written as an integer, got {text!r}")
+    return int(value)
+
+
 def _parse_section(sections: dict[str, dict[str, str]], section: str, cls: type) -> dict:
     """Keyword arguments for `cls` from one INI section, each value converted
     to the type of its field's default."""
@@ -121,11 +137,7 @@ def load_run_config(path: str | Path) -> dict:
         raise ConfigError(f"unknown [run] keys: {sorted(unknown)}")
 
     seed = _number("seed", run.get("seed", 0), int)
-    # Read as a float so that 1.5e4 loads, but never truncated.
-    budget_text = run.get("total_budget", 150_000)
-    total_budget = _number("total_budget", budget_text, float)
-    if not total_budget.is_integer():
-        raise ConfigError(f"total_budget must be an integer, got {budget_text!r}")
+    total_budget = _budget(run.get("total_budget", "150000"))
     try:
         lle_cfg = LleConfig(seed=seed, **_parse_section(sections, "lle", LleConfig))
         ppo_cfg = PpoConfig(**_parse_section(sections, "ppo", PpoConfig))
@@ -135,7 +147,7 @@ def load_run_config(path: str | Path) -> dict:
     return {
         "env": run.get("env", "dual_goal"),
         "seed": seed,
-        "total_budget": int(total_budget),
+        "total_budget": total_budget,
         "output_dir": run.get("output_dir"),
         "lle": lle_cfg,
         "ppo": ppo_cfg,
@@ -168,8 +180,8 @@ def write_config_snapshot(path: Path, config: dict) -> None:
 
 def _candidate_records(cands, result: PipelineResult) -> Iterator[ArchiveRecord]:
     """One archive record per candidate of the final pool, with its
-    returns at both grades, each made (and its theta formed) only when
-    `save_archive` asks for it."""
+    returns, each made (and its theta formed) only when `save_archive`
+    asks for it."""
     for c in cands:
         meta = {
             "policy_id": c.policy_id,
@@ -178,8 +190,7 @@ def _candidate_records(cands, result: PipelineResult) -> Iterator[ArchiveRecord]
             "alphas": [c.alpha],
             "matched_w": c.matched_w.tolist(),
             "raw_w": c.raw_w.tolist(),
-            "returns": result.select_returns[c.key].tolist(),
-            "final_returns": result.final_returns[c.key].tolist(),
+            "returns": result.returns[c.key].tolist(),
         }
         yield ArchiveRecord(theta=c.theta, meta=meta)
 
@@ -236,7 +247,7 @@ def _write_run_artifacts(out_dir: Path, config: dict, result: PipelineResult, wa
                     ";".join(repr(x) for x in c.matched_w.tolist()),
                     ";".join(repr(x) for x in c.raw_w.tolist()),
                 ]
-                + [repr(float(v)) for v in result.select_returns[c.key]]
+                + [repr(float(v)) for v in result.returns[c.key]]
                 + [c.stage, int(c.policy_id in selected_ids)]
             )
 
@@ -406,6 +417,8 @@ def cmd_front_export(args) -> int:
     records = load_archive(args.policies, ())
     points = []
     for rec in records:
+        # Archives written before runs had one evaluation grade also hold
+        # `final_returns`, the returns their front was built from.
         values = rec.meta.get("final_returns") or rec.meta.get("returns")
         if values is None:
             raise ConfigError(f"{args.policies}: record without return metadata")

@@ -27,9 +27,9 @@ and grid, a retrain's grid, a fine-tune's output), and the run fails
 only when fewer than two bases train. The runner trains all of a
 stage's runs as one lockstep stack, whatever their budgets. Evaluation
 is a pure function of (theta, episodes, seed), so identical policies
-get identical returns without a cache. Returns live in two tables, one
-per evaluation grade, keyed by `CandidatePolicy.key`; each policy is
-rolled out once per grade, so a grid's alpha = 0 and alpha = 1 copies
+get identical returns without a cache. Returns live in one table, keyed
+by `CandidatePolicy.key`, at one episode count and from one seed; each
+policy is rolled out once, so a grid's alpha = 0 and alpha = 1 copies
 take the returns of the base and the retrained policy they copy.
 """
 
@@ -62,7 +62,7 @@ EVAL_CHUNK = 16
 @dataclass(frozen=True)
 class LleConfig:
     """Pipeline knobs: base count, shift, coefficient grid, evaluation
-    grades, and the run seed every random draw derives from."""
+    episodes, and the run seed every random draw derives from."""
 
     K: int = 6
     delta_s: float = 0.1
@@ -70,7 +70,6 @@ class LleConfig:
     alpha_end: float = 1.5
     delta_alpha: float = 0.05
     eval_episodes: int = 8
-    final_eval_episodes: int = 32
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -84,8 +83,6 @@ class LleConfig:
             raise ValueError("delta_alpha must be positive")
         if self.eval_episodes < 1:
             raise ValueError("eval_episodes must be >= 1")
-        if self.final_eval_episodes < 1:
-            raise ValueError("final_eval_episodes must be >= 1")
         # The root seed is a 32-bit word, so a seed outside that range
         # would repeat the run of the seed it wraps to.
         if not 0 <= self.seed < 2**32:
@@ -139,7 +136,7 @@ class DirectionSet:
     """One base policy's local direction: the base, the policy retrained
     at its shifted weight, their parameter difference `delta` and weight
     difference `weight_delta`, whether the two are mutually non-dominated
-    at final grade, and whether `delta` is zero."""
+    by their returns, and whether `delta` is zero."""
 
     # Directions per base; the benchmark's span hook (bench/spans.py) reads it.
     m = 1
@@ -260,11 +257,11 @@ def _evaluate(
     return returns
 
 
-def _graded_returns(
+def _fill_returns(
     policies: list[CandidatePolicy], table: dict, env: VectorRewardEnv, episodes: int, seed: int, ledger: BudgetLedger
 ) -> None:
-    """Fill `table`, one grade's returns by `CandidatePolicy.key`: each
-    policy whose key it lacks is rolled out once, in one `_evaluate` call."""
+    """Fill `table`, the returns by `CandidatePolicy.key`: each policy
+    whose key it lacks is rolled out once, in one `_evaluate` call."""
     missing = {c.key: c for c in policies if c.key not in table}
     thetas = (c.theta for c in missing.values())
     table.update(zip(missing, _evaluate(thetas, len(missing), env, episodes, seed, ledger)))
@@ -322,18 +319,18 @@ def directional_retrain(
     ppo_cfg: PpoConfig,
     budgets: list[int],
     ledger: BudgetLedger,
-    final_returns: dict,
+    returns: dict,
     log_dir: Path | None = None,
 ) -> list[DirectionSet]:
     """Estimate each base's local direction by brief retraining at its one
     shifted weight, for its entry of `budgets` steps.
 
-    Each base and its retrained policy are rolled out at final evaluation
-    grade, their returns written to `final_returns` as (base, 0.0) and
-    (base, 1.0), and checked for mutual non-dominance; a violation or a zero
-    direction is warned about and flagged, never raised, so degenerate
-    runs still complete with the direction they found. A base whose
-    retraining run diverges gets no direction set.
+    Each base and its retrained policy are rolled out, their returns
+    written to `returns` as (base, 0.0) and (base, 1.0), and checked for
+    mutual non-dominance; a violation or a zero direction is warned
+    about and flagged, never raised, so degenerate runs still complete
+    with the direction they found. A base whose retraining run diverges
+    gets no direction set.
     """
     if len(budgets) != len(bases):
         raise ValueError("need one budget per base")
@@ -356,12 +353,12 @@ def directional_retrain(
         for b, w, theta in zip(bases, shifted, retrained)
         if theta is not None
     ]
-    returns = _evaluate(
+    ends = _evaluate(
         (theta for dirs in directions for theta in (dirs.base_theta, dirs.retrained_theta)), 2 * len(directions),
-        env, cfg.final_eval_episodes, derive_seed(cfg.seed, "eval.final"), ledger,
+        env, cfg.eval_episodes, derive_seed(cfg.seed, "eval.select"), ledger,
     )
-    for dirs, base, moved in zip(directions, returns[::2], returns[1::2]):
-        final_returns[dirs.base_index, 0.0], final_returns[dirs.base_index, 1.0] = base, moved
+    for dirs, base, moved in zip(directions, ends[::2], ends[1::2]):
+        returns[dirs.base_index, 0.0], returns[dirs.base_index, 1.0] = base, moved
         dirs.mutual_non_dominated = not dominates(base, moved) and not dominates(moved, base)
         if not dirs.mutual_non_dominated:
             warnings.warn(
@@ -401,8 +398,7 @@ def extend(dirs: DirectionSet, cfg: LleConfig, id_start: int) -> list[CandidateP
 
 
 def select_candidates(candidates: list[CandidatePolicy], returns: dict) -> list[CandidatePolicy]:
-    """Pooled non-dominated subset over the candidates, by their `returns`
-    (the selection-grade table)."""
+    """Pooled non-dominated subset over the candidates, by their `returns`."""
     if not candidates:
         return []
     for c in candidates:
@@ -488,8 +484,7 @@ def _batch_for_each_run(total_steps: int, n_runs: int, batch: int, runs: str) ->
 @dataclass
 class PipelineResult:
     """Everything a run produces: archives, provenance, accounting, and
-    the returns of every evaluated policy, one table per grade keyed by
-    `CandidatePolicy.key`."""
+    the returns of every evaluated policy, keyed by `CandidatePolicy.key`."""
 
     archive: ParetoArchive
     base_archive: ParetoArchive
@@ -499,8 +494,7 @@ class PipelineResult:
     selected: list[CandidatePolicy]
     fine_tuned: list[CandidatePolicy]
     directions: list[DirectionSet]
-    select_returns: dict[tuple[int, float] | int, np.ndarray]
-    final_returns: dict[tuple[int, float] | int, np.ndarray]
+    returns: dict[tuple[int, float] | int, np.ndarray]
     ref_point: np.ndarray
     ledger: BudgetLedger
     policies_by_id: dict[int, CandidatePolicy]
@@ -516,11 +510,12 @@ def run_pipeline(
     """Execute all five stages under one interaction budget.
 
     The budget is split 3:1:1 over initialization, directional
-    retraining, and fine-tuning. Every return vector entering the final
-    archive is re-evaluated at final grade with a shared seed, so
-    identical policies collapse exactly and stage-to-stage hypervolume
-    can only grow. The pipeline is defined for two objectives: an
-    environment with any other d is rejected before any training.
+    retraining, and fine-tuning. Every policy is rolled out once, at
+    `eval_episodes` with one shared seed, and every stage and archive
+    reads that one return vector, so identical policies collapse exactly
+    and stage-to-stage hypervolume can only grow. The pipeline is
+    defined for two objectives: an environment with any other d is
+    rejected before any training.
     """
     if env.spec.d != 2:
         raise ValueError(
@@ -534,8 +529,7 @@ def run_pipeline(
     dir_budgets = _batch_for_each_run(total_budget // 5, cfg.K, batch, "direction runs")
 
     weights = make_base_weights(cfg.K)
-    select_seed = derive_seed(cfg.seed, "eval.select")
-    final_seed = derive_seed(cfg.seed, "eval.final")
+    eval_seed = derive_seed(cfg.seed, "eval.select")
 
     # Stage 1: base policies; a diverged base is dropped with all it would seed.
     jobs = [
@@ -563,43 +557,38 @@ def run_pipeline(
         for k in trained
     ]
 
-    # Stage 2: directions, with each base's and retrained policy's
-    # final-grade returns; a base whose retraining diverged is not extended.
-    final_returns = {}
+    # Stage 2: directions, with each base's and retrained policy's returns;
+    # a base whose retraining diverged is not extended.
+    returns = {}
     directions = directional_retrain(
-        bases, env, cfg, ppo_cfg, [dir_budgets[b.base_index] for b in bases], ledger, final_returns, log_dir
+        bases, env, cfg, ppo_cfg, [dir_budgets[b.base_index] for b in bases], ledger, returns, log_dir
     )
 
-    # Stage 3: training-free extension, then the selection-grade rollouts:
-    # the bases, then one pass per grid (whose alpha = 0 copy takes its
-    # base's returns).
+    # Stage 3: training-free extension, then the rollouts: the bases whose
+    # retraining diverged, then one pass per grid (whose alpha = 0 and 1
+    # copies take the returns of the policies they copy).
     trained_before = ledger.train_all_steps
     grids, candidates = [], []
     for dirs in directions:
         grids.append(extend(dirs, cfg, cfg.K + len(candidates)))
         candidates += grids[-1]
-    select_returns = {}
     for group in [bases, *grids]:
-        _graded_returns(group, select_returns, env, cfg.eval_episodes, select_seed, ledger)
+        _fill_returns(group, returns, env, cfg.eval_episodes, eval_seed, ledger)
 
     # Stage 4: pooled selection.
-    selected = select_candidates(candidates, select_returns)
+    selected = select_candidates(candidates, returns)
     ledger.extension_training_steps = ledger.train_all_steps - trained_before
 
     # Stage 5: preference-aligned fine-tuning.
     ft_budgets = _even_batch_split(total_budget // 5, len(selected), batch)
     fine_tuned = fine_tune(selected, env, cfg, ppo_cfg, ft_budgets, cfg.K + len(candidates), ledger, log_dir)
-    _graded_returns(fine_tuned, select_returns, env, cfg.eval_episodes, select_seed, ledger)
-
-    # Final-grade returns of everything entering the archive pool.
-    pool = bases + selected + fine_tuned
-    _graded_returns(pool, final_returns, env, cfg.final_eval_episodes, final_seed, ledger)
+    _fill_returns(fine_tuned, returns, env, cfg.eval_episodes, eval_seed, ledger)
 
     base_archive, selection_archive, archive = (
-        non_dominated_filter([FrontPoint(final_returns[c.key], c.policy_id, c.stage) for c in group])
-        for group in (bases, bases + selected, pool)
+        non_dominated_filter([FrontPoint(returns[c.key], c.policy_id, c.stage) for c in group])
+        for group in (bases, bases + selected, bases + selected + fine_tuned)
     )
-    ref_point = default_reference_point([*select_returns.values(), *final_returns.values()])
+    ref_point = default_reference_point(list(returns.values()))
 
     return PipelineResult(
         archive=archive,
@@ -610,8 +599,7 @@ def run_pipeline(
         selected=selected,
         fine_tuned=fine_tuned,
         directions=directions,
-        select_returns=select_returns,
-        final_returns=final_returns,
+        returns=returns,
         ref_point=ref_point,
         ledger=ledger,
         policies_by_id={c.policy_id: c for c in bases + candidates + fine_tuned},

@@ -300,20 +300,18 @@ def ppo_update(
     cfg: PpoConfig,
     rngs: Sequence[np.random.Generator],
     optimizer: Adam,
-) -> tuple[ParameterVector, dict[int, DivergenceError]]:
+) -> dict[int, DivergenceError]:
     """Run `epochs` passes of minibatch clipped-surrogate descent on a
-    stack of C policies in lockstep.
+    stack of C policies in lockstep, updating `stack` in place.
 
     `stack.data` has shape (C, P), `buffer` comes from `collect_rollout`
     on it and `rngs` holds one generator per member. Each minibatch is
     one stacked `loss_and_grad` call and one step of `optimizer`, an Adam
     over the (C, P) shape that carries its moments across the batches of
-    a training run. The input stack is not mutated. A member's first
-    non-finite loss becomes its DivergenceError; its row stays in the
-    stack to the end of the update, where the caller drops it. Returns
-    the updated stack and {stack row: DivergenceError}.
+    a training run. A member's first non-finite loss becomes its
+    DivergenceError; its row stays in the stack to the end of the update,
+    where the caller drops it. Returns {stack row: DivergenceError}.
     """
-    stack = stack.copy()
     arrays = [buffer.observations, buffer.actions, buffer.log_probs, buffer.advantages, buffer.returns]
     rows = np.arange(len(rngs))[:, None]
     errors: dict[int, DivergenceError] = {}
@@ -330,7 +328,7 @@ def ppo_update(
                 for row in np.flatnonzero(~finite):
                     errors.setdefault(int(row), DivergenceError(f"non-finite PPO loss ({loss[row]})"))
             optimizer.step(stack.data, clip_grad_norm(grad, cfg.max_grad_norm))
-    return stack, errors
+    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -453,36 +451,32 @@ def train(
 
     Whole batches only: a member takes `steps_taken(budget, cfg)`
     environment steps. `total_steps` is every member's budget unless
-    `member_steps` gives one per member, each at most `total_steps`. A
-    member leaves the stack after its last whole batch, and one whose
-    budget is below one batch never joins it and comes back unchanged. A
-    member whose loss goes non-finite leaves the stack after that batch,
-    and its DivergenceError takes the place of its vector in the list.
+    `member_steps` gives one per member, each at least one batch and at
+    most `total_steps`; a budget below one batch is a ValueError. A
+    member leaves the stack after its last whole batch. A member whose
+    loss goes non-finite leaves the stack after that batch, and its
+    DivergenceError takes the place of its vector in the list.
     """
     budgets = [total_steps] * len(thetas) if member_steps is None else list(member_steps)
     if not len(thetas) == len(weights) == len(seeds) == len(logs) == len(budgets):
         raise ValueError("need one weight, seed, log stream and step budget per policy")
     if max(budgets) > total_steps:
         raise ValueError("a member's step budget exceeds total_steps")
+    if min(budgets) < cfg.steps_per_batch:
+        raise ValueError(f"a member's step budget is below one batch of {cfg.steps_per_batch} steps")
     weights = np.stack([check_weight(w, env.spec.d) for w in weights])
     layout = thetas[0].layout
-    n_batches = [steps_taken(steps, cfg) // cfg.steps_per_batch for steps in budgets]
-    # A member that never joins the stack comes back as a copy; the others'
-    # entries are filled as they leave it.
-    results: list[ParameterVector | DivergenceError | None] = [
-        t.copy() if n == 0 else None for t, n in zip(thetas, n_batches)
-    ]
-    members = [m for m, n in enumerate(n_batches) if n > 0]  # member of each stack row
-    if not members:
-        return results
-    stack = ParameterVector(np.stack([thetas[m].data for m in members]), layout)
-    weights = weights[members]
-    rngs = [np.random.default_rng(np.random.SeedSequence(seeds[m])) for m in members]
+    n_batches = [steps // cfg.steps_per_batch for steps in budgets]
+    # Each member's entry is filled as it leaves the stack.
+    results: list[ParameterVector | DivergenceError | None] = [None] * len(thetas)
+    members = list(range(len(thetas)))  # member of each stack row
+    stack = ParameterVector(np.stack([t.data for t in thetas]), layout)
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed)) for seed in seeds]
     optimizer = Adam(stack.data.shape, cfg.learning_rate)
     carry = None
     for batch_index in range(max(n_batches)):
         buffer, carry = collect_rollout(stack, env, weights, cfg, rngs, carry)
-        stack, errors = ppo_update(stack, buffer, cfg, rngs, optimizer)
+        errors = ppo_update(stack, buffer, cfg, rngs, optimizer)
         # A diverged member, and one whose last batch this was, leaves here.
         keep = np.array([row not in errors and n_batches[m] > batch_index + 1 for row, m in enumerate(members)])
         for row, member in enumerate(members):

@@ -360,7 +360,6 @@ def test_bit_identical_front_tables(tmp_path):
         "k = 3\n"
         "delta_alpha = 0.25\n"
         "eval_episodes = 4\n"
-        "final_eval_episodes = 8\n"
     )
     for out in ("a", "b"):
         proc = subprocess.run(

@@ -31,7 +31,6 @@ seed = 5
 k = 2
 delta_alpha = 0.5
 eval_episodes = 2
-final_eval_episodes = 4
 
 [ppo]
 steps_per_batch = 64
@@ -349,6 +348,23 @@ def test_front_export_roundtrip(run_dir, tmp_path, capsys):
     assert {tuple(p.returns) for p in exported.points} == {tuple(p.returns) for p in original.points}
 
 
+def test_front_export_reads_final_returns_of_older_archives(run_dir, tmp_path, capsys):
+    # Records hold one return vector; archives written while runs had two
+    # evaluation grades also carry `final_returns`, which their front used.
+    from morlext.envs import DualGoal
+    from morlext.ppo import init_actor_critic
+
+    assert all("final_returns" not in r.meta for r in archive.load_archive(run_dir / "policies" / "final.jsonl", ()))
+    theta = init_actor_critic(DualGoal(), seed=0, hidden=(4, 4))
+    path = tmp_path / "old.jsonl"
+    path.write_text("".join(
+        archive._encode(archive.ArchiveRecord(theta, {"policy_id": pid, "returns": r, "final_returns": f})) + "\n"
+        for pid, r, f in ((0, [1.0, 1.0], [0.0, 0.0]), (1, [0.0, 0.0], [1.0, 1.0]))
+    ))
+    assert main(["front-export", str(path), "-o", str(tmp_path / "front.csv")]) == 0
+    assert [p.policy_id for p in load_front_table(tmp_path / "front.csv").points] == ["1"]
+
+
 def test_synth_check_exit_codes(tmp_path, capsys):
     assert main(["synth-check", "flat"]) == 0
     table = tmp_path / "curve.csv"
@@ -377,8 +393,9 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     # no [lle] key sets either.
     cases = [("run", "bogus_key", "3"), ("lle", "t_init", "63"), ("lle", "t_dir", "64"),
              ("lle", "t_ref", "0"), ("lle", "seed", "7"), ("run", "total_budget", "inf"),
-             ("run", "total_budget", "lots"), ("run", "total_budget", "15360.9"), ("run", "seed", "1.5"),
-             ("run", "seed", "4294967296"), ("run", "seed", "-1")]
+             ("run", "total_budget", "lots"), ("run", "total_budget", "15360.9"),
+             ("run", "total_budget", "9.007199254740993e15"), ("run", "seed", "1.5"),
+             ("run", "seed", "4294967296"), ("run", "seed", "-1"), ("lle", "final_eval_episodes", "32")]
     for section, key, value in cases:
         sections = {"run": f"env = dual_goal\noutput_dir = {tmp_path / 'x'}\n",
                     "ppo": "steps_per_batch = 64\n", "lle": ""}
@@ -474,7 +491,7 @@ def test_sigterm_mid_run_leaves_nothing_behind(tmp_path):
 def test_config_snapshot_round_trips_every_field(tmp_path):
     lle = LleConfig(
         K=3, delta_s=0.2, alpha_start=-0.75, alpha_end=1.25, delta_alpha=0.125,
-        eval_episodes=3, final_eval_episodes=5, seed=11,
+        eval_episodes=3, seed=11,
     )
     ppo = PpoConfig(
         steps_per_batch=96, learning_rate=1e-3, gamma=0.9, gae_lambda=0.8, minibatches=3,
@@ -514,16 +531,20 @@ def test_three_line_config_has_full_defaults(tmp_path):
 
 
 def test_integral_budget_in_float_notation_loads(tmp_path):
+    # Integer text loads exactly, also above 2**53, where a float would round.
     config = tmp_path / "c.ini"
-    config.write_text("[run]\nenv = dual_goal\ntotal_budget = 1.5e4\n")
-    budget = load_run_config(config)["total_budget"]
-    assert budget == 15_000 and type(budget) is int
+    for text, expected in (("1.5e4", 15_000), ("9007199254740993", 2**53 + 1)):
+        config.write_text(f"[run]\nenv = dual_goal\ntotal_budget = {text}\n")
+        budget = load_run_config(config)["total_budget"]
+        assert budget == expected and type(budget) is int
 
 
 INVALID_FIELDS = [
     ("ppo", "steps_per_batch", "0"), ("ppo", "steps_per_batch", "-512"), ("ppo", "minibatches", "0"),
     ("ppo", "learning_rate", "-1"), ("ppo", "learning_rate", "0"),
-    ("lle", "eval_episodes", "0"), ("lle", "final_eval_episodes", "0"),
+    ("lle", "eval_episodes", "0"),
+    # Runs have one evaluation grade, so `final_eval_episodes` is no longer a key.
+    ("lle", "final_eval_episodes", "0"),
     ("lle", "alpha_end", "inf"), ("lle", "delta_alpha", "nan"), ("ppo", "max_grad_norm", "nan"),
     ("ppo", "clip", "nan"), ("ppo", "value_coeff", "inf"), ("lle", "k", "six"),
     ("ppo", "max_grad_norm", "0"), ("ppo", "value_coeff", "-0.5"),

@@ -15,7 +15,7 @@ from morlext.extension import (
     DirectionSet,
     LleConfig,
     _evaluate,
-    _graded_returns,
+    _fill_returns,
     _Job,
     _train_all,
     alpha_grid,
@@ -46,7 +46,6 @@ def tiny_cfg(**overrides):
         alpha_end=1.0,
         delta_alpha=0.5,
         eval_episodes=2,
-        final_eval_episodes=4,
         seed=0,
     )
     defaults.update(overrides)
@@ -151,7 +150,7 @@ def rolled_out(cands, env, episodes, seed, ledger):
     """The candidates' returns table, filled as `run_pipeline` fills it
     for one grid."""
     table = {}
-    _graded_returns(cands, table, env, episodes, seed, ledger)
+    _fill_returns(cands, table, env, episodes, seed, ledger)
     return table
 
 
@@ -163,14 +162,16 @@ def test_directional_retrain_counts(small_run):
     assert np.allclose(dirs.weight_delta, [-0.1, 0.1])
 
 
-def test_zero_budget_retrain_is_degenerate():
+def test_unmoved_retrain_is_degenerate(monkeypatch):
     env = DualGoal()
     cfg = tiny_cfg()
     ppo_cfg = tiny_ppo()
     theta = init_actor_critic(env, seed=1, hidden=(8, 8))
+    monkeypatch.setattr(extension, "train", lambda thetas, *args, **kwargs: [t.copy() for t in thetas])
     with pytest.warns(UserWarning, match="direction for base 0 is zero"):
         (dirs,) = directional_retrain(
-            [base_policy(theta, np.array([0.5, 0.5]))], env, cfg, ppo_cfg, [0], BudgetLedger(), {}
+            [base_policy(theta, np.array([0.5, 0.5]))], env, cfg, ppo_cfg, [ppo_cfg.steps_per_batch],
+            BudgetLedger(), {}
         )
     assert dirs.degenerate
     assert np.allclose(dirs.delta.data, 0.0)
@@ -501,57 +502,45 @@ def test_pipeline_budget_ledger(pipeline_result):
 
 
 def test_pipeline_evaluates_each_policy_once_per_grade(reference_k3):
-    # Bases and retrained policies are rolled out at final grade in stage 2,
-    # and the grid's alpha = 0 copies take the bases' selection-grade
-    # returns; a selected alpha = 0 or 1 copy takes the final-grade returns
-    # of the policy it copies. Everything else is rolled out once per grade.
+    # Runs have one evaluation grade. Bases and retrained policies are
+    # rolled out in stage 2, and a grid's alpha = 0 and 1 copies take the
+    # returns of the policies they copy; every other grid point and every
+    # fine-tuned policy is rolled out once.
     result, cfg = reference_k3, tiny_cfg(K=3)
     horizon = DualGoal().spec.horizon
     n_dirs = len(result.directions)
     zero_copies = [c for c in result.candidates if c.is_base]
-    selected_copies = [c for c in result.selected if c.alpha in (0.0, 1.0)]
-    assert len(zero_copies) == n_dirs > 0
-    assert {c.alpha for c in selected_copies} == {0.0, 1.0}
-    final_grade = (
-        len(result.bases) + n_dirs + len(result.selected) - len(selected_copies) + len(result.fine_tuned)
+    one_copies = [c for c in result.candidates if c.alpha == 1.0]
+    assert len(zero_copies) == len(one_copies) == n_dirs > 0
+    rolled_out = (
+        len(result.bases) + n_dirs + len(result.candidates) - len(zero_copies) - len(one_copies)
+        + len(result.fine_tuned)
     )
-    select_grade = len(result.bases) + len(result.candidates) - n_dirs + len(result.fine_tuned)
-    assert result.ledger.eval_steps == horizon * (
-        cfg.final_eval_episodes * final_grade + cfg.eval_episodes * select_grade
-    )
+    assert result.ledger.eval_steps == horizon * cfg.eval_episodes * rolled_out
+    assert len(result.returns) == rolled_out
     bases = {b.base_index: b for b in result.bases}
     for copy in zero_copies:
         base = bases[copy.base_index]
+        assert copy.key == base.key
         assert np.array_equal(copy.theta.data, base.theta.data)
-        assert np.array_equal(result.select_returns[copy.key], result.select_returns[base.key])
-    final_seed = derive_seed(cfg.seed, "eval.final")
-    for c in result.bases + result.selected + result.fine_tuned:
-        values, theta = result.final_returns[c.key], c.theta
-        fresh = evaluate_returns(stack_of_one(theta), DualGoal(), cfg.final_eval_episodes, final_seed)
-        assert np.array_equal(values, fresh[0])
+    assert {c.key for c in one_copies} == {(dirs.base_index, 1.0) for dirs in result.directions}
 
 
 def test_pipeline_returns_tables_hold_each_policy_once_at_its_grade(reference_k3):
-    # The selection table holds every base, grid point and fine-tuned
-    # policy; the final table every pool member and both ends of every
-    # direction. Each value is a fresh rollout of its policy at its grade.
+    # The one returns table holds every base, grid point and fine-tuned
+    # policy and both ends of every direction. Each value is a fresh
+    # rollout of its policy at the run's evaluation grade.
     result, cfg = reference_k3, tiny_cfg(K=3)
     env = DualGoal()
     evaluated = result.bases + result.candidates + result.fine_tuned
-    pool = result.bases + result.selected + result.fine_tuned
     ends = {(dirs.base_index, alpha) for dirs in result.directions for alpha in (0.0, 1.0)}
-    assert set(result.select_returns) == {c.key for c in evaluated}
-    assert set(result.final_returns) == {c.key for c in pool} | ends
+    assert set(result.returns) == {c.key for c in evaluated} | ends
     thetas = {c.key: c.theta for c in evaluated}
     thetas.update(((dirs.base_index, 1.0), dirs.retrained_theta) for dirs in result.directions)
-    for table, episodes, grade in (
-        (result.select_returns, cfg.eval_episodes, "eval.select"),
-        (result.final_returns, cfg.final_eval_episodes, "eval.final"),
-    ):
-        seed = derive_seed(cfg.seed, grade)
-        for key, values in table.items():
-            fresh = _evaluate([thetas[key]], 1, env, episodes, seed, BudgetLedger())
-            assert np.array_equal(values, fresh[0]), (grade, key)
+    seed = derive_seed(cfg.seed, "eval.select")
+    for key, values in result.returns.items():
+        fresh = _evaluate([thetas[key]], 1, env, cfg.eval_episodes, seed, BudgetLedger())
+        assert np.array_equal(values, fresh[0]), key
 
 
 def test_pipeline_trains_only_in_its_training_stages(train_record):
@@ -626,7 +615,7 @@ def test_pipeline_final_archive_mutually_non_dominated(pipeline_result):
 
 def test_pipeline_archive_not_dominated_by_any_pool_member(pipeline_result):
     result, cfg, ppo_cfg = pipeline_result
-    pool_values = [result.final_returns[c.key] for c in result.bases + result.selected + result.fine_tuned]
+    pool_values = [result.returns[c.key] for c in result.bases + result.selected + result.fine_tuned]
     for row in result.archive.matrix():
         assert not any(dominates(v, row) for v in pool_values)
 
@@ -724,7 +713,7 @@ def test_fewer_than_two_bases_exits_2_before_retraining(monkeypatch, tmp_path, c
     config = tmp_path / "c.ini"
     config.write_text(
         f"[run]\nenv = dual_goal\noutput_dir = {tmp_path / 'run'}\ntotal_budget = {DIVERGE_BUDGET}\n"
-        "seed = 0\n[lle]\nk = 3\ndelta_alpha = 0.5\neval_episodes = 2\nfinal_eval_episodes = 4\n"
+        "seed = 0\n[lle]\nk = 3\ndelta_alpha = 0.5\neval_episodes = 2\n"
         "[ppo]\nsteps_per_batch = 64\nminibatches = 4\nepochs = 2\n"
     )
     seen = diverging_train(monkeypatch, {derive_seed(0, "init", 0), derive_seed(0, "init", 2)})
@@ -740,7 +729,7 @@ def test_diverged_retrain_keeps_its_base_unextended(monkeypatch):
     result, dropped = run_diverging(monkeypatch, {derive_seed(0, "retrain", 1, 1)})
     assert dropped == [dropped_message("retrain_1_1")]
     assert [b.base_index for b in result.bases] == [0, 1, 2]
-    assert result.bases[1].key in result.final_returns
+    assert result.bases[1].key in result.returns
     assert [dirs.base_index for dirs in result.directions] == [0, 2]
     assert not [c for c in result.candidates if c.base_index == 1]
     assert result.ledger.retrain_steps == 2 * tiny_ppo().steps_per_batch
@@ -763,7 +752,7 @@ def test_zero_direction_is_warned_about_once_per_base(monkeypatch, tmp_path):
     config = tmp_path / "c.ini"
     config.write_text(
         f"[run]\nenv = dual_goal\noutput_dir = {tmp_path / 'run'}\ntotal_budget = {DIVERGE_BUDGET}\n"
-        "seed = 0\n[lle]\nk = 3\ndelta_alpha = 0.5\neval_episodes = 2\nfinal_eval_episodes = 4\n"
+        "seed = 0\n[lle]\nk = 3\ndelta_alpha = 0.5\neval_episodes = 2\n"
         "[ppo]\nsteps_per_batch = 64\nminibatches = 4\nepochs = 2\n"
     )
     with warnings.catch_warnings(record=True) as caught:
@@ -813,15 +802,15 @@ def test_retraining_moves_performance_toward_new_preference():
         [derive_seed(seed, "train") for seed in seeds], [None] * 10,
     )
     for seed, base in zip(seeds, trained):
-        cfg = LleConfig(K=2, seed=seed, final_eval_episodes=32)
+        cfg = LleConfig(K=2, seed=seed, eval_episodes=32)
         with w_mod.catch_warnings():
             w_mod.simplefilter("ignore")
-            final_returns = {}
+            returns = {}
             (dirs,) = directional_retrain(
-                [base_policy(base, base_w)], env, cfg, ppo_cfg, [5_120], BudgetLedger(), final_returns
+                [base_policy(base, base_w)], env, cfg, ppo_cfg, [5_120], BudgetLedger(), returns
             )
         shifted_w = base_w + dirs.weight_delta
-        base_returns, retrained_returns = final_returns[0, 0.0], final_returns[0, 1.0]
+        base_returns, retrained_returns = returns[0, 0.0], returns[0, 1.0]
         differs = not np.array_equal(base_returns, retrained_returns)
         improved = float(shifted_w @ retrained_returns) >= float(
             shifted_w @ base_returns
@@ -839,7 +828,7 @@ def test_fine_tuning_improves_scalarized_return_on_most_candidates():
         w_mod.simplefilter("ignore")
         result = run_pipeline(DualGoal(), LleConfig(K=4, seed=0), PpoConfig(), total_budget=60_000)
     before_by_key = {
-        (c.base_index, c.alpha): float(c.matched_w @ result.select_returns[c.key]) for c in result.selected
+        (c.base_index, c.alpha): float(c.matched_w @ result.returns[c.key]) for c in result.selected
     }
     improved, total = 0, 0
     for tuned in result.fine_tuned:
@@ -847,6 +836,6 @@ def test_fine_tuning_improves_scalarized_return_on_most_candidates():
         if before is None:
             continue
         total += 1
-        improved += float(tuned.matched_w @ result.select_returns[tuned.key]) >= before
+        improved += float(tuned.matched_w @ result.returns[tuned.key]) >= before
     assert total > 0
     assert improved / total >= 0.7, f"only {improved}/{total} candidates improved"
